@@ -125,7 +125,7 @@ impl<P> SlicedRunResult<P> {
 
 /// The whole scatter pipeline: front-end and back-end clocked as one
 /// component by the scheduler. One instance is one chip; the sharded
-/// executor (`crate::sharded`) clocks several of them in lock step.
+/// executor (`crate::sharded`) drains several of them, each on its own.
 pub(crate) struct ScatterPipeline<P> {
     pub(crate) front: FrontEnd<P>,
     pub(crate) back: BackEnd<P>,

@@ -23,6 +23,14 @@
 //! (fast-forward off) so windows land on precise cycles, and extend the
 //! stall guard by the total stalled time so an injected stall is never
 //! misreported as a mis-sized design.
+//!
+//! In a sharded run the windows apply inside each part's own drain:
+//! every chip checks its brown-outs and pauses, and the link its
+//! stalls, at `base + cycle` of the global timeline, where `base` is
+//! the scatter cycle the iteration started at. Every part of an
+//! iteration starts at the same `base`, so this is exactly the cycle a
+//! shared clock would have given, and the drains fan out over the host
+//! cores like a clean run's.
 
 use crate::config::FaultPlan;
 

@@ -15,7 +15,7 @@
 //!   `Apply( )` and building the next frontier;
 //! * **multi-chip scale-out** (the `sharded` module): P whole pipelines
 //!   over a destination-interval partition, coupled by a modeled
-//!   inter-chip link and clocked in lock step.
+//!   inter-chip link; each chip and the link drain independently.
 //!
 //! Both pipeline halves implement `higraph_sim::ClockedComponent` and the
 //! engine drives them through the shared `higraph_sim::Scheduler` — the
@@ -54,7 +54,6 @@
 mod apply;
 mod backend;
 mod frontend;
-mod parallel;
 
 pub mod arena;
 pub mod cache;

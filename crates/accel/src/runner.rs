@@ -13,9 +13,10 @@
 //! deterministic and seeded by its own inputs, so results are
 //! bit-identical to running the same jobs serially through
 //! [`Engine::run`] — `tests/batch_runner.rs` asserts this. Sharded jobs
-//! compose with the batch: their lock-step drains lease whatever pool
-//! workers the batch leaves idle (`docs/performance.md`), falling back
-//! to the serial drain — bit-identically — when the host is saturated.
+//! compose with the batch: their per-chip drains fan out over the same
+//! pool, so they use whatever workers the batch leaves idle and run on
+//! the calling thread — bit-identically — when the host is saturated
+//! (`docs/performance.md`).
 //!
 //! Sliced large-graph schedules ([`Engine::run_sliced`], Sec. 5.3) ride
 //! the same path through [`RunMode::Sliced`].
@@ -426,10 +427,10 @@ where
             let mut engine = ShardedEngine::try_new(job.config.clone(), shard, job.graph)
                 .map_err(BatchError::Config)?;
             engine.set_stall_guard(job.stall_guard);
-            // Default (auto) threading: each lock-step drain leases
-            // whatever pool workers the batch leaves idle, so batch- and
-            // chip-level parallelism compose instead of oversubscribing.
-            // Results are bit-identical for any worker count.
+            // Default threading: each iteration's per-chip drains fan out
+            // over the pool the batch runs on, so batch- and chip-level
+            // parallelism compose instead of oversubscribing. Results
+            // are bit-identical for any worker count.
             let r = engine.run(&job.program)?;
             Ok(BatchResult {
                 label: job.label.clone(),

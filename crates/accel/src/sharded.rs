@@ -3,11 +3,10 @@
 //!
 //! The paper's scalability story (Fig. 11) widens one chip; this module
 //! scales *out* instead. [`ShardedEngine`] instantiates one scatter
-//! pipeline per chip over the `higraph_graph::slicing::partition` shards
-//! and clocks all of them — plus a `higraph_sim::InterChipLink` carrying
-//! cross-shard edge updates — under a single `Scheduler` drain per
-//! iteration, so compute and communication share one clock and the
-//! iteration ends only when both have drained.
+//! pipeline per chip over the `higraph_graph::slicing::partition` shards,
+//! plus a `higraph_sim::InterChipLink` carrying cross-shard edge updates.
+//! An iteration's scatter phase ends only when every chip *and* the link
+//! have drained.
 //!
 //! # Execution model
 //!
@@ -19,6 +18,22 @@
 //! Array is bit-identical to the serial [`Engine::run`](crate::engine::Engine::run) — with one chip
 //! the whole run (metrics included) is bit-identical, which
 //! `tests/sharded_equivalence.rs` asserts.
+//!
+//! # Per-chip drains
+//!
+//! Within a scatter phase the parts never interact. Every chip's input
+//! (the frontier) is loaded before the phase starts, and no chip gains
+//! work mid-phase. The link's input (the staged `[src][dst]` packet
+//! counts) is fixed at the same moment, and arrivals are discarded. So
+//! each of the P + 1 parts — the chips and the link — drains to
+//! quiescence on its own `Scheduler`, with its own fast-forward, and the
+//! parts fan out over the shared [`CorePool`] with one join per
+//! iteration. The iteration's scatter time is the **max** of the P + 1
+//! drain times. A part that finished early is then padded with
+//! `skip(spent − own)`: the idle ticks a shared clock would have given
+//! it (fabric cycle counters, arbiter parity, the DRAM clock). The
+//! result is bit-identical to clocking all parts on one composite clock,
+//! for any worker count (`docs/sharding.md` has the argument).
 //!
 //! # Traffic model
 //!
@@ -41,16 +56,17 @@ use crate::engine::{
 use crate::faults::FaultRuntime;
 use crate::metrics::Metrics;
 use crate::netfactory::NetworkFactory;
-use crate::parallel::{drain_chips_parallel, exchange_link, ChipLane};
 use higraph_graph::slicing::{partition, total_cut_edges, Slice};
 use higraph_graph::{Csr, VertexId};
-use higraph_pool::{CoreLease, CorePool};
+use higraph_pool::CorePool;
 use higraph_sim::{
-    content_checksum, min_activity, ClockedComponent, DrainError, DrainStep, EventWheel,
-    InterChipLink, NetworkStats, Packet, RunControl, Scheduler, SnapError, SnapReader, SnapValue,
-    SnapWriter, Snapshot, StallError,
+    content_checksum, ClockedComponent, DrainError, DrainStep, InterChipLink, Network,
+    NetworkStats, Packet, RunControl, Scheduler, SnapError, SnapReader, SnapValue, SnapWriter,
+    Snapshot,
 };
 use higraph_vcpm::VertexProgram;
+use std::sync::{Mutex, PoisonError};
+use std::thread::ThreadId;
 
 /// Geometry and timing of the inter-chip fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,9 +145,9 @@ pub struct ShardedRunResult<P> {
     /// Final Property Array — bit-identical to the serial engine's.
     pub properties: Vec<P>,
     /// Aggregate metrics on the multi-chip critical path: scatter cycles
-    /// are the lock-step drain (all chips *and* the link), apply cycles
-    /// the slowest chip's owned-interval scan per iteration. Fabric stats
-    /// and counters are merged across chips.
+    /// are the slowest of each iteration's drains (every chip *and* the
+    /// link), apply cycles the slowest chip's owned-interval scan per
+    /// iteration. Fabric stats and counters are merged across chips.
     pub metrics: Metrics,
     /// Per-chip metrics, indexed by chip (= slice) number.
     pub chips: Vec<Metrics>,
@@ -139,6 +155,11 @@ pub struct ShardedRunResult<P> {
     pub cross_chip_packets: u64,
     /// Link fabric counters (accepted/rejected/delivered/cycles).
     pub link: NetworkStats,
+    /// Host threads that drained parts of one iteration, at most, over
+    /// this run's iterations. Host-side observability only: it depends
+    /// on pool availability, never on the simulation, and no simulated
+    /// number reads it.
+    pub drain_participants: usize,
 }
 
 impl<P> ShardedRunResult<P> {
@@ -148,7 +169,7 @@ impl<P> ShardedRunResult<P> {
     }
 
     /// Scatter cycles of the slowest chip — the compute-only critical
-    /// path, before communication is folded in by the lock-step drain.
+    /// path, before the link's drain is folded in.
     pub fn max_chip_scatter_cycles(&self) -> u64 {
         self.chips
             .iter()
@@ -184,98 +205,87 @@ pub enum ShardedOutcome<P> {
     Cancelled,
 }
 
-/// Everything the lock-step drain clocks: P chip pipelines, the link,
-/// and the per-chip egress staging for packets the link has not yet
-/// accepted. Draining this composite *is* the iteration barrier: the
-/// scatter phase ends when no chip and no link queue holds work.
+/// The inter-chip link plus the per-chip egress staging for packets the
+/// link has not yet accepted: the one part of a scatter phase that is
+/// not a chip.
 ///
 /// Staged traffic is a `[src][dst]` remaining-count matrix, not a queue
 /// of materialized packets: every packet of a (src, dst) pair is
 /// identical and consumers discard them on arrival, so synthesizing
 /// packets at link-push time models the same cycles and counts in O(P²)
 /// memory instead of O(cut edges) per iteration.
-struct MultiChip<P> {
-    chips: Vec<ScatterPipeline<P>>,
+struct LinkStage {
     link: InterChipLink<ShardPacket>,
     staged: Vec<Vec<u64>>,
-    /// Calendar queue over the chips (one slot per chip), so the serial
-    /// drain's window selection costs O(active chips) instead of polling
-    /// every chip pipeline. Chips never *gain* work mid-drain (the
-    /// exchange only moves staged counts into the link and discards
-    /// arrivals), so slots only need re-dirtying when a wake comes due
-    /// ([`EventWheel::dirty_due`] each tick) and wholesale at the start
-    /// of each drain, after `load_frontier` refills the chips.
-    wheel: EventWheel,
 }
 
-impl<P> MultiChip<P> {
+impl LinkStage {
     /// Packets staged but not yet accepted by the link.
     fn staged_total(&self) -> u64 {
         self.staged.iter().flatten().sum()
     }
+
+    /// One cycle's exchange: the link's outputs sink (and discard)
+    /// whatever updates arrived this cycle, then staged updates
+    /// (synthesized from the counts) are offered until the link
+    /// back-pressures.
+    fn exchange(&mut self) {
+        let link = &mut self.link;
+        for ci in 0..self.staged.len() {
+            while link.pop(ci).is_some() {}
+        }
+        for (src_chip, row) in self.staged.iter_mut().enumerate() {
+            // a full egress queue blocks every destination of this source
+            // chip alike — move to the next chip
+            'dsts: for (dst_chip, count) in row.iter_mut().enumerate() {
+                while *count > 0 {
+                    let pkt = ShardPacket { src_chip, dst_chip };
+                    match link.push(src_chip, pkt) {
+                        Ok(()) => *count -= 1,
+                        Err(_) => break 'dsts,
+                    }
+                }
+            }
+        }
+    }
 }
 
-impl<P: Copy + 'static> ClockedComponent for MultiChip<P> {
+impl ClockedComponent for LinkStage {
     fn tick(&mut self) {
-        for chip in &mut self.chips {
-            chip.tick();
-        }
         self.link.tick();
-        self.wheel.advance(1);
-        self.wheel.dirty_due();
     }
 
     fn in_flight(&self) -> usize {
-        self.chips
-            .iter()
-            .map(ClockedComponent::in_flight)
-            .sum::<usize>()
-            + self.link.in_flight()
-            + self.staged_total() as usize
+        self.link.in_flight() + self.staged_total() as usize
     }
 
-    /// The composite idles only when every chip and the link idle and no
-    /// staged traffic is waiting (staged packets are offered — and their
-    /// rejections counted — every cycle until the link accepts them).
+    /// Staged packets are offered — and their rejections counted — every
+    /// cycle until the link accepts them, so they pin the window to 0;
+    /// otherwise the link's own window applies.
     fn next_activity(&mut self) -> Option<u64> {
         if self.staged_total() > 0 {
-            return Some(0);
+            Some(0)
+        } else {
+            self.link.activity_window()
         }
-        let chips = &mut self.chips;
-        let chip_window = self.wheel.next_window(|c| chips[c].next_activity());
-        #[cfg(debug_assertions)]
-        {
-            // The legacy poll, kept as the oracle the wheel must match.
-            let poll = chips
-                .iter_mut()
-                .map(ClockedComponent::next_activity)
-                .fold(None, min_activity);
-            debug_assert_eq!(
-                chip_window, poll,
-                "multi-chip event wheel diverged from the chip activity poll"
-            );
-        }
-        let window = min_activity(chip_window, self.link.activity_window());
-        match window {
-            Some(w) => Some(w),
-            // Defensive, as in `ScatterPipeline::next_activity`.
-            None if !self.is_drained() => Some(0),
-            None => None,
-        }
-    }
-
-    /// Chip windows are answered by the calendar queue; only the link
-    /// (one component) is still polled directly.
-    fn wheel_indexed(&self) -> bool {
-        true
     }
 
     fn skip(&mut self, cycles: u64) {
-        for chip in &mut self.chips {
-            chip.skip(cycles);
-        }
         self.link.skip(cycles);
-        self.wheel.advance(cycles);
+    }
+}
+
+/// Every part a scatter phase drains: P chip pipelines and the link
+/// stage. Between iterations all of them are drained, which is what
+/// makes an iteration boundary a checkpointable state.
+struct MultiChip<P> {
+    chips: Vec<ScatterPipeline<P>>,
+    link: LinkStage,
+}
+
+impl<P: Copy + 'static> MultiChip<P> {
+    fn is_drained(&self) -> bool {
+        self.chips.iter().all(ClockedComponent::is_drained) && self.link.is_drained()
     }
 }
 
@@ -286,11 +296,10 @@ impl<P: SnapValue + 'static> Snapshot for MultiChip<P> {
         for chip in &self.chips {
             chip.save(w);
         }
-        self.link.save(w);
-        for row in &self.staged {
+        self.link.link.save(w);
+        for row in &self.link.staged {
             row.save(w);
         }
-        self.wheel.save(w);
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -305,11 +314,105 @@ impl<P: SnapValue + 'static> Snapshot for MultiChip<P> {
         for chip in &mut self.chips {
             chip.load(r)?;
         }
-        self.link.load(r)?;
-        for row in &mut self.staged {
+        self.link.link.load(r)?;
+        for row in &mut self.link.staged {
             row.load(r)?;
         }
-        self.wheel.load(r)
+        Ok(())
+    }
+}
+
+/// One chip's share of a scatter phase: the pipeline plus everything
+/// only this chip writes (its metrics, its owned tProperty interval).
+struct ChipLane<'a, P> {
+    /// Chip index within the shard (= slice index).
+    index: usize,
+    chip: &'a mut ScatterPipeline<P>,
+    metrics: &'a mut Metrics,
+    /// The chip's owned tProperty interval (disjoint across lanes).
+    t_props: &'a mut [P],
+    /// Global vertex id of `t_props[0]`.
+    t_base: u32,
+    graph: &'a Csr,
+}
+
+/// One independently drained part of a scatter phase.
+enum Part<'a, P> {
+    Chip(ChipLane<'a, P>),
+    Link(&'a mut LinkStage),
+}
+
+/// What every part's drain shares: read-only, so the parts can drain on
+/// different host threads.
+struct DrainContext<'a, Prog> {
+    program: &'a Prog,
+    control: &'a RunControl,
+    faults: Option<&'a FaultRuntime>,
+    fast_forward: bool,
+    guard: u64,
+    /// Global scatter cycle at which this phase starts: fault windows
+    /// index the global timeline, so a window straddling an iteration
+    /// (or checkpoint) boundary keeps holding its target across drains.
+    base: u64,
+}
+
+impl<Prog: VertexProgram> DrainContext<'_, Prog> {
+    /// Drains one part to quiescence on its own scheduler, returning the
+    /// cycles it took.
+    fn drain(&self, part: &mut Part<'_, Prog::Prop>) -> Result<u64, DrainError> {
+        let mut scheduler = Scheduler::new()
+            .with_fast_forward(self.fast_forward)
+            .with_stall_guard(self.guard);
+        let (faults, base) = (self.faults, self.base);
+        match part {
+            Part::Link(stage) => scheduler.drain_ctrl(&mut **stage, self.control, |stage, step| {
+                // A link stall window refuses injections (in-flight
+                // packets keep moving through `tick`).
+                if let DrainStep::Cycle(cycle) = step {
+                    if faults.is_none_or(|f| !f.link_stalled(base + cycle)) {
+                        stage.exchange();
+                    }
+                }
+            }),
+            Part::Chip(lane) => {
+                let ChipLane {
+                    index,
+                    chip,
+                    metrics,
+                    t_props,
+                    t_base,
+                    graph,
+                } = lane;
+                scheduler.drain_ctrl(&mut **chip, self.control, |chip, step| {
+                    let cycle = match step {
+                        DrainStep::Cycle(cycle) => cycle,
+                        DrainStep::Skipped { cycles, .. } => {
+                            chip.commit_idle(cycles, metrics);
+                            return;
+                        }
+                    };
+                    if let Some(f) = faults {
+                        let now = base + cycle;
+                        f.set_brownouts(now, |fault_chip, channel, active| {
+                            if fault_chip == *index {
+                                chip.mem.set_dram_channel_paused(channel, active);
+                            }
+                        });
+                        if f.chip_paused(now, *index) {
+                            // Clock-gated: held packets wait, nothing steps.
+                            return;
+                        }
+                    }
+                    // Stages evaluate consumer-first: back-end (1–3),
+                    // then front-end (4–6) feeding the back-end's edge
+                    // unit.
+                    chip.back
+                        .step(self.program, graph, t_props, *t_base, metrics);
+                    chip.front
+                        .step(graph, &mut chip.back.edge_access, &mut chip.mem, metrics);
+                })
+            }
+        }
     }
 }
 
@@ -324,13 +427,12 @@ pub struct ShardedEngine<'g> {
     owner: Vec<usize>,
     /// Overrides the workload-derived stall guard when set.
     stall_guard: Option<u64>,
-    /// Event-driven fast-forward of idle lock-step cycles (on by
-    /// default; bit-identical — see `docs/simulation.md`).
+    /// Event-driven fast-forward of idle cycles in each part's drain (on
+    /// by default; bit-identical — see `docs/simulation.md`).
     fast_forward: bool,
-    /// Host worker threads for the lock-step drain (`None` = lease
-    /// whatever the shared [`CorePool`] has idle, up to one per chip,
-    /// at the start of every drain). Results are bit-identical for
-    /// every setting — see `docs/performance.md`.
+    /// `Some(1)` drains an iteration's parts one after another on the
+    /// calling thread; anything else fans them out over the shared
+    /// [`CorePool`]. Results are bit-identical for every setting.
     threads: Option<usize>,
 }
 
@@ -380,7 +482,7 @@ impl<'g> ShardedEngine<'g> {
     }
 
     /// Replaces the workload-derived stall guard with a fixed cycle
-    /// budget per lock-step drain (`None` restores the derived guard).
+    /// budget for each part's drain (`None` restores the derived guard).
     pub fn set_stall_guard(&mut self, guard: Option<u64>) {
         self.stall_guard = guard;
     }
@@ -391,25 +493,23 @@ impl<'g> ShardedEngine<'g> {
         self.fast_forward = on;
     }
 
-    /// Sets the host worker threads that tick the chips during the
-    /// lock-step drain. `None` (the default) leases currently-idle
-    /// workers from the process-wide [`CorePool`] at each drain — up to
-    /// one per chip — so chip-level parallelism composes with
-    /// batch-level parallelism instead of oversubscribing the host.
-    /// `Some(n)` demands an exact `n`-worker team (temporary threads
-    /// make up any shortfall); `Some(1)` forces the serial drain. Cycle
-    /// counts and every metric are **bit-identical** for every setting;
-    /// only host time changes. See `docs/performance.md`.
+    /// Sets how an iteration's P + 1 drains (the chips and the link) run
+    /// on the host. `Some(1)` drains them one after another on the
+    /// calling thread. Any other setting, `None` included (the default),
+    /// fans them out with [`CorePool::run_ordered`] over the process-wide
+    /// pool, whose idle workers join the calling thread; busy workers
+    /// simply leave more parts to it. Cycle counts and every metric are
+    /// **bit-identical** for every setting; only host time changes. See
+    /// `docs/performance.md`.
     pub fn set_threads(&mut self, threads: Option<usize>) {
         self.threads = threads;
     }
 
-    /// Worker threads a [`ShardedEngine::run`] drain uses at full pool
-    /// availability: the explicit override, or the resident pool's
-    /// worker count, capped at the chip count. Under the default
-    /// (`None`) policy the actual per-drain team can be smaller when
-    /// co-scheduled jobs keep pool workers busy; results are
-    /// bit-identical regardless.
+    /// The nominal chip-level parallelism of the current setting: the
+    /// explicit request, or the resident pool's worker count, capped at
+    /// the chip count (1 for a serial `Some(1)` drain). The threads a run
+    /// actually got depend on what the pool had idle; each run reports
+    /// them as [`ShardedRunResult::drain_participants`].
     pub fn worker_threads(&self) -> usize {
         self.threads
             .unwrap_or_else(|| CorePool::global().workers())
@@ -437,390 +537,34 @@ impl<'g> ShardedEngine<'g> {
         total_cut_edges(&self.slices)
     }
 
-    /// Executes `program` across all chips to completion.
-    ///
-    /// With more than one worker thread (see
-    /// [`ShardedEngine::set_threads`]) the chips of each lock-step cycle
-    /// tick concurrently — their slice graphs, metrics, and owned
-    /// tProperty intervals are disjoint — with a barrier before the
-    /// inter-chip exchange, so results stay bit-identical to the serial
-    /// drain.
+    /// Executes `program` across all chips to completion: the controlled
+    /// run loop under an inert [`RunControl`], which never cancels or
+    /// parks.
     ///
     /// # Errors
     ///
-    /// Returns a [`StallDiagnostic`] if the lock-step drain of an
-    /// iteration fails to finish within its stall guard (a mis-sized
-    /// fabric, link, or memory configuration).
+    /// Returns a [`StallDiagnostic`] if a part of an iteration's scatter
+    /// phase fails to drain within its stall guard (a mis-sized fabric,
+    /// link, or memory configuration).
     pub fn run<Prog>(
         &mut self,
         program: &Prog,
     ) -> Result<ShardedRunResult<Prog::Prop>, StallDiagnostic>
     where
         Prog: VertexProgram + Sync,
-        Prog::Prop: Send,
     {
-        let config = self.factory.config();
-        let m = config.back_channels;
-        let frequency_ghz = config.effective_frequency_ghz();
-        let num_chips = self.shard.num_chips;
-        let graph = self.graph;
-        let num_v = graph.num_vertices();
-
-        let mut properties: Vec<Prog::Prop> = graph
-            .vertices()
-            .map(|v| program.init_prop(v, graph))
-            .collect();
-        let mut t_props: Vec<Prog::Prop> = vec![program.identity(); num_v as usize];
-        let mut multi = MultiChip {
-            chips: (0..num_chips)
-                .map(|_| ScatterPipeline::new(&self.factory))
-                .collect(),
-            link: InterChipLink::new(
-                num_chips,
-                self.shard.link_latency,
-                self.shard.link_bandwidth,
-                self.shard.link_capacity,
-            ),
-            staged: vec![vec![0u64; num_chips]; num_chips],
-            // `validate()` has already vetted the horizon, so this
-            // cannot fail for a config that reached `run`.
-            wheel: EventWheel::new(num_chips, config.wheel_horizon),
-        };
-        let faults = self.fault_runtime(&multi);
-        // Fault windows land on exact global cycles, so fault runs force
-        // per-cycle ticking.
-        let mut scheduler =
-            Scheduler::new().with_fast_forward(self.fast_forward && faults.is_none());
-        let fresh_metrics = || Metrics {
-            frequency_ghz,
-            vpe_starvation_per_channel: vec![0; m],
-            ..Metrics::default()
-        };
-        let mut chip_metrics: Vec<Metrics> = (0..num_chips).map(|_| fresh_metrics()).collect();
-        let mut agg = fresh_metrics();
-        let mut cross_chip_packets = 0u64;
-
-        let mut frontier: Vec<VertexId> = program.initial_frontier(graph);
-        while !frontier.is_empty() {
-            if let Some(cap) = program.max_iterations() {
-                if agg.iterations >= cap {
-                    break;
-                }
-            }
-            debug_assert!(
-                multi.is_drained(),
-                "a scatter phase must start from a drained multi-chip composite"
-            );
-
-            // Stage this iteration's cross-shard traffic: one packet per
-            // edge a chip will process from a remotely-owned source,
-            // counted per (source chip, destination chip) pair.
-            for &u in &frontier {
-                let src_chip = self.owner[u.index()];
-                for slice in &self.slices {
-                    if slice.index != src_chip {
-                        multi.staged[src_chip][slice.index] += slice.graph.out_degree(u);
-                    }
-                }
-            }
-            let staged = multi.staged_total();
-            cross_chip_packets += staged;
-
-            // Load the global frontier into every chip's front-end.
-            for chip in &mut multi.chips {
-                chip.front.load_frontier(&frontier, &properties);
-            }
-
-            // One lock-step drain: all chips plus the link, per cycle.
-            let iteration_edges: u64 = frontier.iter().map(|&v| graph.out_degree(v)).sum();
-            let guard = self.stall_guard.unwrap_or_else(|| {
-                derived_stall_guard(
-                    self.factory.config(),
-                    iteration_edges,
-                    frontier.len() as u64,
-                    num_chips as u64,
-                    staged,
-                ) + self.shard.link_latency
-            }) + faults.as_ref().map_or(0, FaultRuntime::guard_bonus);
-            let mut chip_cycles = vec![0u64; num_chips];
-            // Host cores are acquired per drain: an explicit override
-            // leases its exact team (temporary threads cover any
-            // shortfall), the default leases whatever the shared pool
-            // has idle *right now* — so this drain and concurrently
-            // running batch jobs split the host instead of
-            // oversubscribing it. An empty grant (fully busy pool),
-            // `Some(1)`, or a single chip takes the serial drain;
-            // results are bit-identical in every case.
-            // Fault runs force the serial drain: fault windows clock-gate
-            // individual chips per cycle, which the worker protocol does
-            // not model.
-            let lease = match self.threads {
-                _ if faults.is_some() => None,
-                Some(n) => {
-                    let team = n.clamp(1, num_chips);
-                    (team > 1).then(|| CorePool::global().lease_exact(team))
-                }
-                None if num_chips > 1 => {
-                    let lease = CorePool::global().lease(num_chips);
-                    (lease.team_size() > 0).then_some(lease)
-                }
-                None => None,
-            };
-            let drained = match &lease {
-                Some(lease) => self
-                    .drain_parallel(
-                        program,
-                        &mut multi,
-                        &mut t_props,
-                        &mut chip_metrics,
-                        &mut chip_cycles,
-                        lease,
-                        guard,
-                    )
-                    .map_err(DrainError::Stall),
-                None => {
-                    scheduler.set_stall_guard(guard);
-                    self.drain_serial(
-                        program,
-                        &mut multi,
-                        &mut t_props,
-                        &mut chip_metrics,
-                        &mut chip_cycles,
-                        &mut scheduler,
-                        None,
-                        faults.as_ref(),
-                        agg.scatter_cycles,
-                    )
-                }
-            };
-            drop(lease); // workers rejoin the stealing rotation
-            let spent = drained.map_err(|err| {
-                let stall = match err {
-                    DrainError::Stall(stall) => stall,
-                    DrainError::Interrupted { .. } => {
-                        // lint:allow(panic-freedom): a drain without a control has no cancellation path
-                        unreachable!("uncontrolled drain cannot be interrupted")
-                    }
-                };
-                StallDiagnostic {
-                    config: self.factory.config().name.clone(),
-                    num_chips,
-                    iteration: agg.iterations,
-                    iteration_edges,
-                    staged_packets: staged,
-                    stall,
-                }
-            })?;
-            agg.scatter_cycles += spent;
-            for (ci, cycles) in chip_cycles.iter().enumerate() {
-                chip_metrics[ci].scatter_cycles += *cycles;
-            }
-
-            // Apply: functionally global (bit-identity), cycle-wise each
-            // chip scans only its owned interval; the slowest chip gates
-            // the iteration.
-            apply_phase(program, graph, &mut properties, &mut t_props, &mut frontier);
-            let mut max_apply = 0u64;
-            for (ci, slice) in self.slices.iter().enumerate() {
-                let a = apply_cycles(slice.num_owned(), m);
-                chip_metrics[ci].apply_cycles += a;
-                chip_metrics[ci].iterations += 1;
-                max_apply = max_apply.max(a);
-            }
-            agg.apply_cycles += max_apply;
-            agg.iterations += 1;
-        }
-
-        Ok(finish_result(
-            agg,
-            chip_metrics,
-            &multi,
-            properties,
-            cross_chip_packets,
-        ))
-    }
-
-    /// Expands the configuration's fault plan against this engine's
-    /// topology (chip count, per-chip DRAM channels), if one is set.
-    fn fault_runtime<P>(&self, multi: &MultiChip<P>) -> Option<FaultRuntime> {
-        self.factory.config().fault_plan.as_ref().map(|plan| {
-            FaultRuntime::new(
-                plan,
-                self.shard.num_chips,
-                multi.chips.first().map_or(0, |c| c.mem.dram_channels()),
-            )
-        })
-    }
-
-    /// The serial lock-step drain: the whole [`MultiChip`] composite is
-    /// driven by the shared [`Scheduler`] on this thread. With
-    /// `control`, the drain polls for cancellation; with `faults`, each
-    /// drained cycle applies the fault windows active at `base + cycle`
-    /// of the global scatter timeline.
-    ///
-    /// # Errors
-    ///
-    /// [`DrainError::Stall`] when the composite fails to drain within
-    /// the guard, [`DrainError::Interrupted`] when `control` observes a
-    /// cancellation mid-drain.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_serial<Prog: VertexProgram>(
-        &self,
-        program: &Prog,
-        multi: &mut MultiChip<Prog::Prop>,
-        t_props: &mut [Prog::Prop],
-        chip_metrics: &mut [Metrics],
-        chip_cycles: &mut [u64],
-        scheduler: &mut Scheduler,
-        control: Option<&RunControl>,
-        faults: Option<&FaultRuntime>,
-        base: u64,
-    ) -> Result<u64, DrainError> {
-        let mut t_slices = split_owned_intervals(t_props, &self.slices);
-        // `load_frontier` refilled the chips since the last drain, so
-        // every registered wake may be stale-late; re-register them all
-        // before the first window selection.
-        multi.wheel.mark_all_dirty();
-        let callback = |multi: &mut MultiChip<Prog::Prop>, step: DrainStep| {
-            let cycle = match step {
-                DrainStep::Cycle(cycle) => cycle,
-                DrainStep::Skipped { cycles, .. } => {
-                    // Idle window: no chip stepped, no link
-                    // traffic moved; commit each undrained
-                    // chip's per-cycle accounting (drained chips
-                    // idle without accruing starvation, exactly
-                    // as in the per-cycle branch below).
-                    for (ci, chip) in multi.chips.iter_mut().enumerate() {
-                        if !chip.is_drained() {
-                            chip.commit_idle(cycles, &mut chip_metrics[ci]);
-                        }
-                    }
-                    return;
-                }
-            };
-            // Fault windows index the *global* scatter timeline, so a
-            // window straddling an iteration (or checkpoint) boundary
-            // keeps holding the pipeline across drains.
-            let now = base + cycle;
-            for (ci, chip) in multi.chips.iter_mut().enumerate() {
-                // A drained chip idles (no starvation accrues)
-                // while slower chips and the link finish.
-                if chip.is_drained() {
-                    continue;
-                }
-                chip_cycles[ci] = cycle + 1;
-                if let Some(f) = faults {
-                    f.set_brownouts(now, |fault_chip, channel, active| {
-                        if fault_chip == ci {
-                            chip.mem.set_dram_channel_paused(channel, active);
-                        }
-                    });
-                    if f.chip_paused(now, ci) {
-                        // Clock-gated: held packets wait, nothing steps.
-                        continue;
-                    }
-                }
-                let slice_graph = &self.slices[ci].graph;
-                let (t_slice, t_base) = &mut t_slices[ci];
-                chip.back.step(
-                    program,
-                    slice_graph,
-                    t_slice,
-                    *t_base,
-                    &mut chip_metrics[ci],
-                );
-                chip.front.step(
-                    slice_graph,
-                    &mut chip.back.edge_access,
-                    &mut chip.mem,
-                    &mut chip_metrics[ci],
-                );
-            }
-            // The inter-chip exchange — one definition shared with the
-            // parallel drain, so the two paths cannot diverge. A link
-            // stall window refuses injections (in-flight packets keep
-            // moving through `tick`).
-            if faults.is_none_or(|f| !f.link_stalled(now)) {
-                exchange_link(&mut multi.link, &mut multi.staged);
-            }
-        };
-        match control {
-            Some(ctrl) => scheduler.drain_ctrl(multi, ctrl, callback),
-            None => scheduler
-                .drain_with(multi, callback)
-                .map_err(DrainError::Stall),
-        }
-    }
-
-    /// The parallel lock-step drain: chips tick on the lease's team
-    /// (pool workers, plus temporary threads for an exact override),
-    /// the link exchange and fast-forward control stay here, with a
-    /// barrier either side of each cycle ([`crate::parallel`]).
-    /// Bit-identical to [`ShardedEngine::drain_serial`].
-    ///
-    /// # Errors
-    ///
-    /// [`StallError`] when the composite fails to drain within the
-    /// guard, exactly as the serial drain reports it.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_parallel<Prog>(
-        &self,
-        program: &Prog,
-        multi: &mut MultiChip<Prog::Prop>,
-        t_props: &mut [Prog::Prop],
-        chip_metrics: &mut [Metrics],
-        chip_cycles: &mut [u64],
-        lease: &CoreLease<'_>,
-        guard: u64,
-    ) -> Result<u64, StallError>
-    where
-        Prog: VertexProgram + Sync,
-        Prog::Prop: Send,
-    {
-        let MultiChip {
-            chips,
-            link,
-            staged,
-            // The parallel drain computes the composite window from the
-            // workers' published per-chip activities; the wheel only
-            // serves the serial drain.
-            wheel: _,
-        } = multi;
-        let t_slices = split_owned_intervals(t_props, &self.slices);
-        let lanes: Vec<ChipLane<'_, Prog::Prop>> = self
-            .slices
-            .iter()
-            .zip(chips.iter_mut())
-            .zip(chip_metrics.iter_mut())
-            .zip(t_slices)
-            .map(|(((slice, chip), metrics), (t_slice, t_base))| ChipLane {
-                index: slice.index,
-                chip,
-                metrics,
-                t_props: t_slice,
-                t_base,
-                graph: &slice.graph,
-            })
-            .collect();
-        let outcome = drain_chips_parallel(
-            lanes,
-            link,
-            staged,
-            lease,
-            self.fast_forward,
-            guard,
-            program,
-        )?;
-        chip_cycles.copy_from_slice(&outcome.chip_cycles);
-        Ok(outcome.spent)
+        let mut st = self.fresh_state(program);
+        let stop = self.drive(program, &RunControl::new(), &mut st)?;
+        debug_assert!(stop.is_none(), "an inert control never stops a run");
+        Ok(finish_result(st))
     }
 
     /// Executes `program` under cooperative run control, exactly as
     /// [`crate::Engine::run_controlled`] does for the serial engine:
     /// `control` can cancel mid-drain or park at the next committed
-    /// iteration boundary into a restorable [`Checkpoint`]. Controlled
-    /// runs always use the serial lock-step drain; a run that completes
-    /// is bit-identical to [`ShardedEngine::run`] at any thread count.
+    /// iteration boundary into a restorable [`Checkpoint`]. The drains
+    /// fan out exactly as in [`ShardedEngine::run`]; a run that
+    /// completes is bit-identical to it at any thread count.
     ///
     /// # Errors
     ///
@@ -832,11 +576,11 @@ impl<'g> ShardedEngine<'g> {
         control: &RunControl,
     ) -> Result<ShardedOutcome<Prog::Prop>, StallDiagnostic>
     where
-        Prog: VertexProgram,
+        Prog: VertexProgram + Sync,
         Prog::Prop: SnapValue,
     {
         let state = self.fresh_state(program);
-        self.drive(program, control, state)
+        self.controlled(program, control, state)
     }
 
     /// Continues a parked sharded run from `checkpoint` under `control`.
@@ -856,18 +600,36 @@ impl<'g> ShardedEngine<'g> {
         checkpoint: &[u8],
     ) -> Result<ShardedOutcome<Prog::Prop>, ControlError>
     where
-        Prog: VertexProgram,
+        Prog: VertexProgram + Sync,
         Prog::Prop: SnapValue,
     {
         let mut state = self.fresh_state(program);
         self.load_checkpoint(&mut state, checkpoint)?;
         control.clear_park();
-        self.drive(program, control, state)
+        self.controlled(program, control, state)
             .map_err(ControlError::Stall)
     }
 
-    /// The state [`ShardedEngine::run`] starts from, bundled for the
-    /// controlled paths (checkpoints restore over it).
+    /// Runs the loop under `control` and turns where it stopped into an
+    /// outcome, serializing the state if it parked.
+    fn controlled<Prog>(
+        &self,
+        program: &Prog,
+        control: &RunControl,
+        mut st: ShardedRunState<Prog::Prop>,
+    ) -> Result<ShardedOutcome<Prog::Prop>, StallDiagnostic>
+    where
+        Prog: VertexProgram + Sync,
+        Prog::Prop: SnapValue,
+    {
+        Ok(match self.drive(program, control, &mut st)? {
+            None => ShardedOutcome::Done(finish_result(st)),
+            Some(Stop::Park) => ShardedOutcome::Parked(self.save_checkpoint(&st)),
+            Some(Stop::Cancel) => ShardedOutcome::Cancelled,
+        })
+    }
+
+    /// The state a run starts from (checkpoints restore over it).
     fn fresh_state<Prog: VertexProgram>(&self, program: &Prog) -> ShardedRunState<Prog::Prop> {
         let config = self.factory.config();
         let num_chips = self.shard.num_chips;
@@ -888,40 +650,52 @@ impl<'g> ShardedEngine<'g> {
                 chips: (0..num_chips)
                     .map(|_| ScatterPipeline::new(&self.factory))
                     .collect(),
-                link: InterChipLink::new(
-                    num_chips,
-                    self.shard.link_latency,
-                    self.shard.link_bandwidth,
-                    self.shard.link_capacity,
-                ),
-                staged: vec![vec![0u64; num_chips]; num_chips],
-                wheel: EventWheel::new(num_chips, config.wheel_horizon),
+                link: LinkStage {
+                    link: InterChipLink::new(
+                        num_chips,
+                        self.shard.link_latency,
+                        self.shard.link_bandwidth,
+                        self.shard.link_capacity,
+                    ),
+                    staged: vec![vec![0u64; num_chips]; num_chips],
+                },
             },
             chip_metrics: (0..num_chips).map(|_| fresh_metrics()).collect(),
             agg: fresh_metrics(),
             cross_chip_packets: 0,
+            drain_participants: 1,
         }
     }
 
-    /// The controlled run loop: [`ShardedEngine::run`]'s loop (serial
-    /// drain only) plus cancel checks and boundary parking.
+    /// Expands the configuration's fault plan against this engine's
+    /// topology (chip count, per-chip DRAM channels), if one is set.
+    fn fault_runtime<P: Copy + 'static>(&self, multi: &MultiChip<P>) -> Option<FaultRuntime> {
+        self.factory.config().fault_plan.as_ref().map(|plan| {
+            FaultRuntime::new(
+                plan,
+                self.shard.num_chips,
+                multi.chips.first().map_or(0, |c| c.mem.dram_channels()),
+            )
+        })
+    }
+
+    /// The run loop, shared by every entry point: iterations until the
+    /// frontier empties, with cancel checks and boundary parking. Returns
+    /// where `control` stopped it early, or `None` on completion.
     fn drive<Prog>(
-        &mut self,
+        &self,
         program: &Prog,
         control: &RunControl,
-        mut st: ShardedRunState<Prog::Prop>,
-    ) -> Result<ShardedOutcome<Prog::Prop>, StallDiagnostic>
+        st: &mut ShardedRunState<Prog::Prop>,
+    ) -> Result<Option<Stop>, StallDiagnostic>
     where
-        Prog: VertexProgram,
-        Prog::Prop: SnapValue,
+        Prog: VertexProgram + Sync,
     {
         let config = self.factory.config();
         let m = config.back_channels;
         let num_chips = self.shard.num_chips;
         let graph = self.graph;
         let faults = self.fault_runtime(&st.multi);
-        let mut scheduler =
-            Scheduler::new().with_fast_forward(self.fast_forward && faults.is_none());
 
         while !st.frontier.is_empty() {
             if let Some(cap) = program.max_iterations() {
@@ -930,27 +704,31 @@ impl<'g> ShardedEngine<'g> {
                 }
             }
             if control.cancelled() {
-                return Ok(ShardedOutcome::Cancelled);
+                return Ok(Some(Stop::Cancel));
             }
             if control.should_park(st.agg.scatter_cycles + st.agg.apply_cycles) {
-                return Ok(ShardedOutcome::Parked(self.save_checkpoint(&st)));
+                return Ok(Some(Stop::Park));
             }
             debug_assert!(
                 st.multi.is_drained(),
-                "a scatter phase must start from a drained multi-chip composite"
+                "a scatter phase must start with every part drained"
             );
 
+            // Stage this iteration's cross-shard traffic: one packet per
+            // edge a chip will process from a remotely-owned source,
+            // counted per (source chip, destination chip) pair.
             for &u in &st.frontier {
                 let src_chip = self.owner[u.index()];
                 for slice in &self.slices {
                     if slice.index != src_chip {
-                        st.multi.staged[src_chip][slice.index] += slice.graph.out_degree(u);
+                        st.multi.link.staged[src_chip][slice.index] += slice.graph.out_degree(u);
                     }
                 }
             }
-            let staged = st.multi.staged_total();
+            let staged = st.multi.link.staged_total();
             st.cross_chip_packets += staged;
 
+            // Load the global frontier into every chip's front-end.
             for chip in &mut st.multi.chips {
                 chip.front.load_frontier(&st.frontier, &st.properties);
             }
@@ -965,25 +743,22 @@ impl<'g> ShardedEngine<'g> {
                     staged,
                 ) + self.shard.link_latency
             }) + faults.as_ref().map_or(0, FaultRuntime::guard_bonus);
-            scheduler.set_stall_guard(guard);
-            let mut chip_cycles = vec![0u64; num_chips];
-            let drained = self.drain_serial(
+            let cx = DrainContext {
                 program,
-                &mut st.multi,
-                &mut st.t_props,
-                &mut st.chip_metrics,
-                &mut chip_cycles,
-                &mut scheduler,
-                Some(control),
-                faults.as_ref(),
-                st.agg.scatter_cycles,
-            );
-            let spent = match drained {
+                control,
+                faults: faults.as_ref(),
+                // Fault windows land on exact global cycles, so fault
+                // runs tick every cycle.
+                fast_forward: self.fast_forward && faults.is_none(),
+                guard,
+                base: st.agg.scatter_cycles,
+            };
+            let spent = match self.drain_parts(&cx, st) {
                 Ok(spent) => spent,
-                Err(DrainError::Interrupted { .. }) => return Ok(ShardedOutcome::Cancelled),
+                Err(DrainError::Interrupted { .. }) => return Ok(Some(Stop::Cancel)),
                 Err(DrainError::Stall(stall)) => {
                     return Err(StallDiagnostic {
-                        config: self.factory.config().name.clone(),
+                        config: config.name.clone(),
                         num_chips,
                         iteration: st.agg.iterations,
                         iteration_edges,
@@ -993,10 +768,10 @@ impl<'g> ShardedEngine<'g> {
                 }
             };
             st.agg.scatter_cycles += spent;
-            for (ci, cycles) in chip_cycles.iter().enumerate() {
-                st.chip_metrics[ci].scatter_cycles += *cycles;
-            }
 
+            // Apply: functionally global (bit-identity), cycle-wise each
+            // chip scans only its owned interval; the slowest chip gates
+            // the iteration.
             apply_phase(
                 program,
                 graph,
@@ -1014,19 +789,98 @@ impl<'g> ShardedEngine<'g> {
             st.agg.apply_cycles += max_apply;
             st.agg.iterations += 1;
         }
+        Ok(None)
+    }
 
-        Ok(ShardedOutcome::Done(finish_result(
-            st.agg,
-            st.chip_metrics,
-            &st.multi,
-            st.properties,
-            st.cross_chip_packets,
-        )))
+    /// One scatter phase: drains the P chips and the link independently
+    /// (fanned out over the pool unless the engine is pinned serial),
+    /// pads every part that finished early up to the slowest, and
+    /// credits each chip its own drain time. Returns the phase's scatter
+    /// cycles, the max over all parts.
+    ///
+    /// # Errors
+    ///
+    /// [`DrainError::Interrupted`] if any part observed a cancellation;
+    /// otherwise the first part's [`DrainError::Stall`], in chip order
+    /// and then the link. Every part has the same guard, so the report
+    /// matches what one composite drain would have given.
+    fn drain_parts<Prog>(
+        &self,
+        cx: &DrainContext<'_, Prog>,
+        st: &mut ShardedRunState<Prog::Prop>,
+    ) -> Result<u64, DrainError>
+    where
+        Prog: VertexProgram + Sync,
+    {
+        let MultiChip { chips, link } = &mut st.multi;
+        let parts: Vec<Mutex<Part<'_, Prog::Prop>>> = chips
+            .iter_mut()
+            .zip(st.chip_metrics.iter_mut())
+            .zip(split_owned_intervals(&mut st.t_props, &self.slices))
+            .zip(&self.slices)
+            .map(|(((chip, metrics), (t_props, t_base)), slice)| {
+                Mutex::new(Part::Chip(ChipLane {
+                    index: slice.index,
+                    chip,
+                    metrics,
+                    t_props,
+                    t_base,
+                    graph: &slice.graph,
+                }))
+            })
+            .chain(std::iter::once(Mutex::new(Part::Link(link))))
+            .collect();
+        // Each part sits behind a mutex that only item `i` ever locks, so
+        // the shared closure can hand it its part by `&mut`; a panicking
+        // part re-raises from the join and is never locked again.
+        let drain = |i: usize| -> (Result<u64, DrainError>, ThreadId) {
+            let mut part = parts[i].lock().unwrap_or_else(PoisonError::into_inner);
+            (cx.drain(&mut part), std::thread::current().id())
+        };
+        let drained: Vec<(Result<u64, DrainError>, ThreadId)> = if self.threads == Some(1) {
+            (0..parts.len()).map(drain).collect()
+        } else {
+            CorePool::global().run_ordered(parts.len(), drain)
+        };
+        drop(parts);
+
+        let mut threads: Vec<ThreadId> = Vec::with_capacity(drained.len());
+        let mut own = Vec::with_capacity(drained.len());
+        let mut first_stall = None;
+        for (result, thread) in drained {
+            if !threads.contains(&thread) {
+                threads.push(thread);
+            }
+            match result {
+                Ok(cycles) => own.push(cycles),
+                Err(interrupted @ DrainError::Interrupted { .. }) => return Err(interrupted),
+                Err(stall) => {
+                    first_stall.get_or_insert(stall);
+                }
+            }
+        }
+        if let Some(stall) = first_stall {
+            return Err(stall);
+        }
+        st.drain_participants = st.drain_participants.max(threads.len());
+
+        // Pad every part to the phase length: the idle ticks a shared
+        // clock would have given a part that drained early.
+        let spent = own.iter().copied().max().unwrap_or(0);
+        let MultiChip { chips, link } = &mut st.multi;
+        for ((chip, metrics), &cycles) in chips.iter_mut().zip(&mut st.chip_metrics).zip(&own) {
+            chip.skip(spent - cycles);
+            metrics.scatter_cycles += cycles;
+        }
+        if let Some(&cycles) = own.last() {
+            link.skip(spent - cycles);
+        }
+        Ok(spent)
     }
 
     /// Serializes a boundary state: identity context (graph hash,
     /// canonical configuration encoding, shard geometry) followed by the
-    /// run variables and the full multi-chip composite.
+    /// run variables and every chip and the link.
     fn save_checkpoint<P: SnapValue + 'static>(&self, st: &ShardedRunState<P>) -> Checkpoint {
         let mut w = SnapWriter::new();
         w.tag(b"SHRC");
@@ -1132,6 +986,14 @@ impl<'g> ShardedEngine<'g> {
     }
 }
 
+/// Where the run loop stopped before completion.
+enum Stop {
+    /// Parked at a committed iteration boundary.
+    Park,
+    /// Cancellation was observed; the state is discarded.
+    Cancel,
+}
+
 /// The live state of one sharded run, bundled so the controlled paths
 /// can park it into a checkpoint at a committed iteration boundary and
 /// restore it later (`docs/robustness.md`).
@@ -1143,17 +1005,21 @@ struct ShardedRunState<P> {
     chip_metrics: Vec<Metrics>,
     agg: Metrics,
     cross_chip_packets: u64,
+    /// Host-side only; not part of a checkpoint.
+    drain_participants: usize,
 }
 
-/// Final metric harvest and merge, shared by [`ShardedEngine::run`] and
-/// the controlled completion path so the two cannot diverge.
-fn finish_result<P: Copy + 'static>(
-    mut agg: Metrics,
-    mut chip_metrics: Vec<Metrics>,
-    multi: &MultiChip<P>,
-    properties: Vec<P>,
-    cross_chip_packets: u64,
-) -> ShardedRunResult<P> {
+/// Final metric harvest and merge of a completed run.
+fn finish_result<P: Copy + 'static>(st: ShardedRunState<P>) -> ShardedRunResult<P> {
+    let ShardedRunState {
+        properties,
+        multi,
+        mut chip_metrics,
+        mut agg,
+        cross_chip_packets,
+        drain_participants,
+        ..
+    } = st;
     for (ci, chip) in multi.chips.iter().enumerate() {
         finalize_metrics(&mut chip_metrics[ci], chip);
     }
@@ -1170,26 +1036,14 @@ fn finish_result<P: Copy + 'static>(
         agg.memory.merge(&chip.memory);
     }
     agg.cycles = agg.scatter_cycles + agg.apply_cycles;
-    // lint:allow(panic-freedom): infallible: every link constructor installs a stats block
-    let link = multi.link.network_stats().expect("links keep stats");
     ShardedRunResult {
         properties,
         metrics: agg,
         chips: chip_metrics,
         cross_chip_packets,
-        link,
+        link: *multi.link.link.stats(),
+        drain_participants,
     }
-}
-
-/// The host's available parallelism (the ceiling the shared
-/// [`CorePool`] sizes itself from). [`ShardedEngine::set_threads`]`(None)`
-/// no longer pins to this number — it leases idle pool workers per
-/// drain — but harnesses still report it as the host context for a
-/// measurement.
-pub fn auto_worker_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// Splits the global tProperty array into the per-chip owned intervals
@@ -1302,6 +1156,29 @@ mod tests {
             slow.max_chip_scatter_cycles(),
             fast.max_chip_scatter_cycles()
         );
+    }
+
+    #[test]
+    fn padding_keeps_every_part_on_one_clock() {
+        // The chips and the link drain at different times; padding must
+        // still give each of them every tick of the phase, as one shared
+        // clock would.
+        let g = power_law(300, 2700, 2.0, 31, 79);
+        let r = ShardedEngine::new(AcceleratorConfig::higraph(), ShardConfig::new(4), &g)
+            .run(&PageRank::new(2))
+            .expect("no stall");
+        assert!(
+            r.chips
+                .iter()
+                .any(|c| c.scatter_cycles < r.metrics.scatter_cycles),
+            "some part must drain early for the padding to matter"
+        );
+        assert_eq!(r.link.cycles, r.metrics.scatter_cycles);
+        for chip in &r.chips[1..] {
+            assert_eq!(chip.offset_net.cycles, r.chips[0].offset_net.cycles);
+            assert_eq!(chip.edge_net.cycles, r.chips[0].edge_net.cycles);
+            assert_eq!(chip.dataflow_net.cycles, r.chips[0].dataflow_net.cycles);
+        }
     }
 
     #[test]

@@ -183,7 +183,7 @@ fn main() -> ExitCode {
         "== HiGraph reproduction harness (scale: ÷{}, PR iterations: {}) ==",
         scale.divisor, scale.pr_iters
     );
-    println!("   (Figs. 5 and 10-12 + radix always use full-scale R14; see EXPERIMENTS.md)\n");
+    println!("   (Figs. 5 and 10-12 + radix always use full-scale R14)\n");
 
     let mut report = Report::new();
     if targets.contains("table1") {
@@ -554,15 +554,13 @@ fn hostperf(scale: Scale, out: &mut Report) {
     }
     println!(
         "pool          {} resident worker(s), {:.1}% occupancy; {} task(s) ({} stolen, \
-         {} inline), {} lease(s) for {} worker(s) (+{} oversubscribed)",
+         {} inline), {} item(s)",
         pool.workers,
         pool.occupancy * 100.0,
         pool.tasks_executed,
         pool.tasks_stolen,
         pool.tasks_inline,
-        pool.lease_requests,
-        pool.lease_workers_granted,
-        pool.lease_workers_oversubscribed,
+        pool.items_executed,
     );
     out.record("hostperf.pool.workers".to_string(), pool.workers as f64);
     out.record(
@@ -578,16 +576,8 @@ fn hostperf(scale: Scale, out: &mut Report) {
         pool.tasks_inline as f64,
     );
     out.record(
-        "hostperf.pool.lease_requests".to_string(),
-        pool.lease_requests as f64,
-    );
-    out.record(
-        "hostperf.pool.lease_workers_granted".to_string(),
-        pool.lease_workers_granted as f64,
-    );
-    out.record(
-        "hostperf.pool.lease_workers_oversubscribed".to_string(),
-        pool.lease_workers_oversubscribed as f64,
+        "hostperf.pool.items_executed".to_string(),
+        pool.items_executed as f64,
     );
     out.record("hostperf.pool.occupancy".to_string(), pool.occupancy);
     println!(
@@ -1160,7 +1150,8 @@ fn faults(scale: Scale, out: &mut Report) -> FaultsOutcome {
     println!(
         "overload: stall guard 1 under faults -> {}\n\
          (fault windows are drawn from the plan's seeded splitmix64 stream; faulty\n\
-         runs disable fast-forward and drain serially — see docs/robustness.md)\n",
+         runs tick every cycle, with fast-forward off, in per-chip drains fanned\n\
+         out like clean runs — see docs/robustness.md)\n",
         if overload_stalled {
             "StallDiagnostic (graceful)"
         } else {

@@ -4,9 +4,8 @@
 //! [`BatchRunner`] — each (algorithm × dataset ×
 //! design) point is an independent deterministic simulation, so the
 //! sweeps parallelize across cores with bit-identical results (see
-//! `higraph_accel::runner`). See `DESIGN.md`'s experiment index for the
-//! figure mapping, and `EXPERIMENTS.md` for recorded paper-vs-measured
-//! results.
+//! `higraph_accel::runner`). The README's target table maps each
+//! `repro` target to its table or figure.
 
 use crate::workload::{Algo, Scale, ShardedSummary};
 use higraph::model;
@@ -198,7 +197,7 @@ pub struct AblationRow {
 /// Always uses the *full-scale* R14: scaled-down R-MAT graphs concentrate
 /// so much traffic on their hottest vertex that per-bank serialization
 /// caps every design identically and hides the fabric effects this figure
-/// exists to show (see EXPERIMENTS.md, "dataset-scale notes").
+/// exists to show.
 pub fn fig10(scale: Scale) -> Vec<AblationRow> {
     let graph = Dataset::Rmat14.build();
     let points: Vec<(Algo, OptLevel)> = Algo::ALL
@@ -259,7 +258,7 @@ pub fn fig11(scale: Scale) -> Vec<ScalabilityRow> {
 /// The measured values of one multi-chip sweep cell.
 #[derive(Debug, Clone)]
 pub struct ShardPoint {
-    /// Aggregate critical-path cycles (lock-step scatter + slowest apply).
+    /// Aggregate critical-path cycles (slowest drain + slowest apply).
     pub cycles: u64,
     /// Edge traversals across all chips.
     pub edges: u64,
@@ -507,7 +506,8 @@ pub struct HostPerfRow {
     pub simulated_cycles: u64,
     /// Simulated cycles per host second — the simulator's speed figure.
     pub cycles_per_host_second: f64,
-    /// Intra-run worker threads the leg used per simulation.
+    /// Host threads that drained parts of one iteration at once, at
+    /// most over the leg's runs (1 for the single-chip leg).
     pub workers: usize,
     /// Runs in this leg that stalled (their cycles are missing from the
     /// total while their host time still accrued — recorded so a
@@ -529,18 +529,16 @@ pub struct HostPerfRow {
 pub struct PoolActivityRow {
     /// Resident workers in the shared pool.
     pub workers: usize,
-    /// Queued pool tasks executed by workers (batch runners + teams).
+    /// Queued pool tasks executed by workers (runner tasks of
+    /// `run_ordered` fan-outs).
     pub tasks_executed: u64,
     /// Subset of `tasks_executed` stolen from another worker's deque.
     pub tasks_stolen: u64,
     /// Queued tasks reclaimed and run inline by the submitting thread.
     pub tasks_inline: u64,
-    /// Drain leases served during the measurement.
-    pub lease_requests: u64,
-    /// Resident workers handed to those leases.
-    pub lease_workers_granted: u64,
-    /// Temporary threads attached by exact leases beyond the idle supply.
-    pub lease_workers_oversubscribed: u64,
+    /// `run_ordered` items completed: batch entries and the per-chip and
+    /// link drains of sharded iterations.
+    pub items_executed: u64,
     /// Busy nanoseconds per resident worker-nanosecond over the window
     /// (0.0 when the pool has no resident workers).
     pub occupancy: f64,
@@ -595,7 +593,7 @@ fn hostperf_on(
     };
 
     let chips = 4;
-    let shard_workers = higraph::accel::sharded::auto_worker_threads().min(chips);
+    let mut shard_workers = 1;
     let shard_selections_before = selection::snapshot();
     // lint:allow(determinism): host-performance measurement (cycles per host-second); never feeds simulated state
     let start = Instant::now();
@@ -613,6 +611,7 @@ fn hostperf_on(
             // critical path — that is what the host actually computes
             Ok(summary) => {
                 shard_cycles += summary.chips.iter().map(|c| c.cycles).sum::<u64>();
+                shard_workers = shard_workers.max(summary.drain_participants);
             }
             Err(stall) => {
                 eprintln!("hostperf shardfull_p4 {} STALL: {stall}", algo.label());
@@ -650,9 +649,7 @@ fn hostperf_on(
         tasks_executed: delta.tasks_executed,
         tasks_stolen: delta.tasks_stolen,
         tasks_inline: delta.tasks_inline,
-        lease_requests: delta.lease_requests,
-        lease_workers_granted: delta.lease_workers_granted,
-        lease_workers_oversubscribed: delta.lease_workers_oversubscribed,
+        items_executed: delta.items_executed,
         occupancy: delta.occupancy(window_ns, pool.workers()),
     };
 
@@ -1046,12 +1043,12 @@ mod tests {
         let g = Scale::tiny().build(Dataset::Vote);
         let (rows, pool) = hostperf_on(&g, &g, 2);
         assert_eq!(rows.len(), 2);
-        // the P = 4 leg drains through pool leases whenever the host has
-        // cores to lend; on a single-core host the counters stay zero
+        // the P = 4 leg fans each iteration's chip and link drains out
+        // over the pool (the calling thread runs them all when the pool
+        // has no workers)
         assert!(pool.occupancy >= 0.0 && pool.occupancy.is_finite());
         if pool.workers > 0 {
-            assert!(pool.lease_requests > 0, "shardfull_p4 leases per drain");
-            assert!(pool.lease_workers_granted > 0);
+            assert!(pool.items_executed > 0, "shardfull_p4 fans out per drain");
         }
         assert_eq!(rows[0].name, "shardfull_p4");
         assert_eq!(rows[1].name, "memstarved");
@@ -1062,7 +1059,7 @@ mod tests {
             assert!(r.workers >= 1, "{}", r.name);
             assert_eq!(r.stalled, 0, "{}: well-sized presets never stall", r.name);
         }
-        assert!(rows[0].workers <= 4, "capped at the chip count");
+        assert!(rows[0].workers <= 5, "capped at the chips plus the link");
     }
 
     #[test]

@@ -70,9 +70,11 @@
 //! instead of burning another stall-guard's worth of host time. The memo
 //! is a bounded [`LruCache`]; evictions show up in `stats`.
 //!
-//! Jobs execute through [`Algo::run_sharded_controlled`], whose
-//! lock-step drains poll the per-job [`RunControl`] for cancellation
-//! and parking at committed boundaries.
+//! Jobs execute through [`Algo::run_sharded_controlled`]: each
+//! iteration's per-chip and link drains fan out over the shared core
+//! pool exactly as in an uncontrolled run, every drain polls the
+//! per-job [`RunControl`] for cancellation, and parking happens at
+//! committed iteration boundaries.
 
 use crate::memo::LruCache;
 use crate::report::{parse_flat_json_values, write_json_number, write_json_string, JsonValue};
@@ -92,7 +94,7 @@ const MEMO_CAPACITY: usize = 256;
 enum MemoEntry {
     /// Completed: aggregate cycle count and throughput.
     Ok { cycles: u64, gteps: f64 },
-    /// The configuration stalled its lock-step drain.
+    /// The configuration stalled one of its drains.
     Stalled,
 }
 
@@ -726,12 +728,12 @@ impl ServeSession {
                     j.record_event("parked", &spec.id);
                 }
                 let id = spec.id.clone();
-                let line = format!(
-                    "{{\"event\": \"parked\", \"id\": {}, \"cycles\": {}, \"iterations\": {}}}",
-                    json_str(&id),
-                    ck.cycles,
-                    ck.iterations
-                );
+                let mut line = String::from("{\"event\": \"parked\", \"id\": ");
+                write_json_string(&mut line, &id);
+                line.push_str(&format!(
+                    ", \"cycles\": {}, \"iterations\": {}}}",
+                    ck.cycles, ck.iterations
+                ));
                 self.parked.insert(
                     id,
                     ParkedJob {
@@ -769,7 +771,7 @@ impl ServeSession {
             "{{\"event\": \"stats\", \"queued\": {}, \"completed\": {}, \"parked\": {}, \
              \"failed\": {}, \"cancelled\": {}, \"memo_entries\": {}, \"memo_hits\": {}, \
              \"memo_evictions\": {}, \"memo_capacity\": {}, \"pool_workers\": {}, \
-             \"pool_tasks_executed\": {}, \"pool_lease_requests\": {}}}",
+             \"pool_tasks_executed\": {}, \"pool_items_executed\": {}}}",
             self.queue.len(),
             self.completed,
             self.parked.len(),
@@ -781,7 +783,7 @@ impl ServeSession {
             self.memo.capacity(),
             pool.workers(),
             snap.tasks_executed,
-            snap.lease_requests,
+            snap.items_executed,
         )
     }
 }
@@ -791,12 +793,6 @@ impl ServeSession {
 fn lock(reg: &ControlRegistry) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<RunControl>>> {
     reg.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::new();
-    write_json_string(&mut out, s);
-    out
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -118,16 +118,17 @@ impl Algo {
     /// Runs this algorithm across `shard.num_chips` chips and returns the
     /// property-erased summary the multi-chip sweeps report.
     ///
-    /// Uses the default (auto) threading: each lock-step drain leases
-    /// whatever workers the shared `higraph_pool::CorePool` has idle at
-    /// that moment, so chip-level parallelism composes with the sweep
-    /// harnesses' batch-level parallelism instead of oversubscribing the
-    /// host. Results are bit-identical for any worker count;
-    /// [`Algo::run_sharded_threads`] exposes the explicit override.
+    /// Uses the default threading: each iteration's per-chip and link
+    /// drains fan out over the shared `higraph_pool::CorePool`, whose
+    /// idle workers join in, so chip-level parallelism composes with the
+    /// sweep harnesses' batch-level parallelism instead of
+    /// oversubscribing the host. Results are bit-identical for any
+    /// worker count; [`Algo::run_sharded_threads`] exposes the explicit
+    /// override.
     ///
     /// # Errors
     ///
-    /// Returns the [`StallDiagnostic`] of a stalled lock-step drain.
+    /// Returns the [`StallDiagnostic`] of a stalled drain.
     pub fn run_sharded(
         self,
         config: &AcceleratorConfig,
@@ -139,14 +140,14 @@ impl Algo {
     }
 
     /// [`Algo::run_sharded`] with explicit control over the engine's
-    /// intra-run worker threads (`None` = lease idle pool workers per
-    /// drain, up to one per chip; `Some(1)` = serial drain). Results are
-    /// bit-identical for every setting — `tests/thread_determinism.rs`
-    /// asserts it; only host time changes.
+    /// intra-run threading (`Some(1)` = drain the parts one after another
+    /// on this thread; anything else fans them out over the pool).
+    /// Results are bit-identical for every setting —
+    /// `tests/thread_determinism.rs` asserts it; only host time changes.
     ///
     /// # Errors
     ///
-    /// Returns the [`StallDiagnostic`] of a stalled lock-step drain.
+    /// Returns the [`StallDiagnostic`] of a stalled drain.
     pub fn run_sharded_threads(
         self,
         config: &AcceleratorConfig,
@@ -206,7 +207,7 @@ impl Algo {
             checkpoint: Option<&[u8]>,
         ) -> Result<ControlledOutcome, ControlError>
         where
-            Prog: VertexProgram,
+            Prog: VertexProgram + Sync,
             Prog::Prop: higraph::sim::SnapValue,
         {
             let outcome = match checkpoint {
@@ -284,6 +285,10 @@ pub struct ShardedSummary {
     pub max_chip_scatter_cycles: u64,
     /// Aggregate cycles per processed edge.
     pub cycles_per_edge: f64,
+    /// Host threads that drained parts of one iteration, at most
+    /// (host-side observability; see
+    /// [`ShardedRunResult::drain_participants`]).
+    pub drain_participants: usize,
 }
 
 impl<P> From<ShardedRunResult<P>> for ShardedSummary {
@@ -295,6 +300,7 @@ impl<P> From<ShardedRunResult<P>> for ShardedSummary {
             chips: r.chips,
             cross_chip_packets: r.cross_chip_packets,
             link: r.link,
+            drain_participants: r.drain_participants,
         }
     }
 }

@@ -1,15 +1,17 @@
-//! Core leases: intra-run parallelism on top of the pool.
+//! Core leases: dedicated participants on top of the pool.
 //!
-//! A lock-step drain (the P-chips-on-P-threads protocol in
-//! `higraph_accel::parallel`) needs *dedicated* participants for its
-//! barrier cadence, not queued tasks that might wait behind other work.
-//! [`CorePool::lease`] reserves currently-idle workers for exactly that:
-//! a leased worker leaves the stealing rotation and serves only the
-//! lease's team tasks until the lease drops. Because a lease can only
-//! claim idle workers, chip drains and batch jobs share the host
-//! gracefully — a core busy simulating one job is never yanked into
-//! another job's drain; it simply isn't granted, and the drain runs with
-//! fewer participants (or serially), bit-identically.
+//! A protocol whose participants synchronise with one another (a
+//! barrier cadence, say) needs *dedicated* threads, not queued tasks
+//! that might wait behind other work. [`CorePool::lease`] reserves
+//! currently-idle workers for exactly that: a leased worker leaves the
+//! stealing rotation and serves only the lease's team tasks until the
+//! lease drops. Because a lease can only claim idle workers, a core busy
+//! with one job is never yanked into another; it simply isn't granted.
+//!
+//! Nothing in the simulator leases today — the sharded engine's per-chip
+//! drains are independent and fan out through
+//! [`CorePool::run_ordered`] — but the API and its counters
+//! ([`crate::PoolSnapshot::lease_requests`]) stay available.
 
 use crate::{erase_job, lock, CorePool, ErasedJob, ScopeState, IDLE, LEASED};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -6,30 +6,29 @@
 //! from its peers when its deque runs dry. Two execution primitives sit
 //! on top:
 //!
-//! * [`CorePool::run_ordered`] — batch-level parallelism. The caller
-//!   submits `n` independent items; worker *runner tasks* plus the
-//!   calling thread drain a shared cursor, results land in submission
-//!   order, and the call returns only when every item is done. This is
-//!   what [`BatchRunner`](../higraph_accel/struct.BatchRunner.html)
-//!   executes sweeps through.
-//! * [`CoreLease`] / [`CoreLease::run_team`] — intra-run parallelism.
-//!   A running drain *leases* currently-idle workers, hands each one a
-//!   long-lived team task (a lock-step drain participant), runs its own
-//!   coordinator role on the calling thread, and releases the workers
-//!   when the drain completes. Leases only ever claim idle workers, so
-//!   batch jobs and chip drains compose without oversubscription —
-//!   except [`CorePool::lease_exact`], which tops a short grant up with
-//!   temporary threads for callers that *require* a worker count (the
-//!   explicit `ShardedEngine::set_threads(Some(n))` override that
-//!   `tests/thread_determinism.rs` exercises).
+//! * [`CorePool::run_ordered`] — the caller submits `n` independent
+//!   items; worker *runner tasks* plus the calling thread drain a shared
+//!   cursor, results land in submission order, and the call returns
+//!   only when every item is done. Both parallelism layers use it:
+//!   [`BatchRunner`](../higraph_accel/struct.BatchRunner.html) fans a
+//!   sweep's entries out through it, and `ShardedEngine` fans out each
+//!   iteration's independent per-chip and link drains, with one join per
+//!   iteration. Busy workers simply leave more items to the calling
+//!   thread, so the two layers compose without oversubscription.
+//! * [`CoreLease`] / [`CoreLease::run_team`] — dedicated participants.
+//!   A caller *leases* currently-idle workers, hands each one a
+//!   long-lived team task, runs its own role on the calling thread, and
+//!   releases the workers when done; [`CorePool::lease_exact`] tops a
+//!   short grant up with temporary threads. No simulator path leases
+//!   today; the API and its counters remain.
 //!
 //! # Determinism contract
 //!
 //! The pool schedules *host work*; it never touches simulated state.
-//! Every caller in this workspace (batch sweeps, lock-step drains, the
+//! Every caller in this workspace (batch sweeps, per-chip drains, the
 //! `higraph-serve` queue) produces bit-identical results regardless of
 //! worker count, steal order, or co-scheduled jobs — `run_ordered`
-//! preserves item order, and team protocols carry their own barriers.
+//! preserves item order, and no item reads another's state.
 //!
 //! # Soundness
 //!
@@ -479,7 +478,7 @@ impl Drop for CorePool {
 /// with `HIGRAPH_POOL_THREADS`. Worker count is a host-performance knob
 /// only — results are bit-identical for every value.
 pub fn default_workers() -> usize {
-    // lint:allow(determinism): host worker-count override, mirroring the rayon shim's RAYON_NUM_THREADS; results are worker-count-independent by the pool's contract
+    // lint:allow(determinism): host worker-count override; results are worker-count-independent by the pool's contract
     if let Ok(value) = std::env::var("HIGRAPH_POOL_THREADS") {
         if let Ok(n) = value.trim().parse::<usize>() {
             return n.min(256);

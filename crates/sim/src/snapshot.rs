@@ -40,7 +40,7 @@ use std::fmt;
 
 /// Current snapshot wire-format version. Bump on any layout change;
 /// loads reject other versions with a precise error.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Leading magic of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HGSN";

@@ -51,7 +51,7 @@ fn full_opts_reduce_vpe_starvation() {
     // Fig. 10b: starvation must drop substantially from Baseline to
     // OPT-O+OPT-E+OPT-D (the paper reports up to 58%). A scaled-down
     // power-law workload shows the effect clearly (scaled-down RMAT is
-    // hot-vertex-capped — see EXPERIMENTS.md's scale notes).
+    // hot-vertex-capped: its hottest vertex serializes every design).
     let g = Dataset::Epinions.build_scaled(8);
     let base = Algo::Pr
         .run(
