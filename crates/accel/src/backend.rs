@@ -30,6 +30,9 @@ pub(crate) struct BackEnd<P> {
     /// The ePE → vPE dataflow propagation fabric. Moves 8-byte
     /// [`ImmRef`] handles into the `imms` arena.
     dataflow: AnyNetwork<ImmRef>,
+    /// Whether `dataflow` refuses every push forever (fixed by the
+    /// configuration, so computed once).
+    dataflow_never_accepts: bool,
     /// SoA store for pending-edge payloads (see `crate::arena`).
     edges: EdgeArena<P>,
     /// SoA store for `(v, imm)` update payloads.
@@ -45,11 +48,13 @@ impl<P: Copy + 'static> BackEnd<P> {
     pub(crate) fn new(factory: &NetworkFactory) -> Self {
         let config = factory.config();
         let m = config.back_channels;
+        let dataflow: AnyNetwork<ImmRef> = factory.dataflow_fabric();
         // lint:allow-item(hot-path-alloc): construction-time: staging queues and scratch are built once per validated configuration
         BackEnd {
             edge_access: factory.edge_access(),
             epe_q: (0..m).map(|_| Fifo::new(config.staging_capacity)).collect(),
-            dataflow: factory.dataflow_fabric(),
+            dataflow_never_accepts: dataflow.never_accepts(),
+            dataflow,
             edges: EdgeArena::with_capacity(config.arena_capacity),
             imms: PairArena::with_capacity(config.arena_capacity),
             epe_space: vec![false; m],
@@ -184,6 +189,13 @@ impl<P: Copy + 'static> ClockedComponent for BackEnd<P> {
     fn skip(&mut self, cycles: u64) {
         ClockedComponent::skip(&mut self.edge_access, cycles);
         self.dataflow.skip(cycles);
+    }
+
+    /// Every held edge must pass through the dataflow fabric: each
+    /// edge-access range holds at least one edge, and every ePE-queue
+    /// entry is an edge. A fabric that never accepts strands them all.
+    fn doomed(&self) -> bool {
+        self.dataflow_never_accepts && !self.is_drained()
     }
 }
 

@@ -134,8 +134,10 @@ struct LineQuery {
 /// The modeled half of the subsystem (absent in infinite mode).
 #[derive(Debug, Clone)]
 struct Modeled {
-    /// Direct-mapped line tags, indexed by `line % tags.len()`.
-    tags: Vec<Option<u64>>,
+    /// Direct-mapped line tags, indexed by `line % tags.len()`: `line + 1`
+    /// for a resident line, 0 for an empty set (8 B per line, allocated
+    /// zeroed).
+    tags: Vec<u64>,
     line_bytes: u64,
     dram: DramSystem,
     /// Lines requested from DRAM and not yet installed.
@@ -155,7 +157,7 @@ impl Modeled {
     }
 
     fn resident(&self, line: u64) -> bool {
-        self.tags[self.set_of(line)] == Some(line) || self.arrived.contains(&line)
+        self.tag_resident(line) || self.arrived.contains(&line)
     }
 
     /// Starts a DRAM fetch for `line` unless it is resident, already
@@ -226,7 +228,7 @@ impl Modeled {
         self.arrived.clear();
         while let Some(line) = self.dram.pop_ready() {
             let set = self.set_of(line);
-            self.tags[set] = Some(line);
+            self.tags[set] = line + 1;
             self.mshr.remove(&line);
             self.arrived.insert(line);
         }
@@ -237,7 +239,7 @@ impl Modeled {
     /// between cycles) must ignore it — a line surviving only in
     /// `arrived` will be re-requested next cycle, which is activity.
     fn tag_resident(&self, line: u64) -> bool {
-        self.tags[self.set_of(line)] == Some(line)
+        self.tags[self.set_of(line)] == line + 1
     }
 
     /// Non-mutating twin of [`Modeled::step_query`]; see [`QueryState`].
@@ -287,18 +289,22 @@ impl MemorySubsystem {
     }
 
     /// Builds the modeled subsystem from validated configuration knobs,
-    /// serving `channels` front-end channels.
+    /// serving `channels` front-end channels, with a DRAM event wheel of
+    /// `wheel_horizon` cycles (a host-simulation sizing knob, see
+    /// `AcceleratorConfig::wheel_horizon`; modeled cycles are
+    /// unaffected).
     ///
     /// # Panics
     ///
-    /// Panics on un-validated knobs (zero sizes); construct through
-    /// `NetworkFactory`, which validates the [`MemoryConfig`] first.
-    pub fn modeled(config: &MemoryConfig, channels: usize) -> Self {
+    /// Panics on un-validated knobs (zero sizes, an invalid horizon);
+    /// construct through `NetworkFactory`, which validates the
+    /// configuration first.
+    pub fn modeled(config: &MemoryConfig, channels: usize, wheel_horizon: usize) -> Self {
         let line_bytes = config.line_bytes as u64;
         let num_lines = (config.cache_kb as u64 * 1024 / line_bytes).max(1) as usize;
         MemorySubsystem {
             inner: Some(Modeled {
-                tags: vec![None; num_lines],
+                tags: vec![0; num_lines],
                 line_bytes,
                 dram: DramSystem::new(
                     config.channels,
@@ -306,6 +312,7 @@ impl MemorySubsystem {
                     config.queue_depth,
                     (config.row_bytes as u64 / line_bytes).max(1),
                     config.timing,
+                    wheel_horizon,
                 ),
                 mshr: BTreeSet::new(),
                 arrived: BTreeSet::new(),
@@ -319,15 +326,6 @@ impl MemorySubsystem {
     /// Whether this subsystem models finite memory.
     pub fn is_modeled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Sets the DRAM event-wheel horizon (a host-simulation sizing knob,
-    /// see `AcceleratorConfig::wheel_horizon`; modeled cycles are
-    /// unaffected). No-op on the infinite subsystem.
-    pub fn set_wheel_horizon(&mut self, horizon: usize) {
-        if let Some(m) = &mut self.inner {
-            m.dram.set_wheel_horizon(horizon);
-        }
     }
 
     /// Installs DRAM lines that completed since the last cycle; call at
@@ -524,7 +522,10 @@ impl higraph_sim::Snapshot for MemorySubsystem {
                 w.usize(m.edge_q.len());
                 w.u64(m.stats.hits);
                 w.u64(m.stats.misses);
-                m.tags.save(w);
+                // The wire form is the resident line or none, as when
+                // tags were `Vec<Option<u64>>`.
+                let lines: Vec<Option<u64>> = m.tags.iter().map(|&t| t.checked_sub(1)).collect();
+                lines.save(w);
                 m.dram.save(w);
                 w.seq(m.mshr.iter());
                 w.seq(m.arrived.iter());
@@ -559,7 +560,13 @@ impl higraph_sim::Snapshot for MemorySubsystem {
                 }
                 m.stats.hits = r.u64()?;
                 m.stats.misses = r.u64()?;
-                m.tags.load(r)?;
+                let mut lines: Vec<Option<u64>> = vec![None; m.tags.len()];
+                lines.load(r)?;
+                for (tag, line) in m.tags.iter_mut().zip(lines) {
+                    *tag = line.map_or(Some(0), |l| l.checked_add(1)).ok_or_else(|| {
+                        higraph_sim::SnapError::new("cache tag names a line past the address space")
+                    })?;
+                }
                 m.dram.load(r)?;
                 let mshr: Vec<u64> = r.seq(u32::MAX as usize)?;
                 m.mshr = mshr.into_iter().collect();
@@ -583,6 +590,7 @@ impl higraph_sim::Snapshot for MemorySubsystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use higraph_sim::wheel::DEFAULT_WHEEL_HORIZON;
 
     fn small_config(cache_kb: usize) -> MemoryConfig {
         MemoryConfig {
@@ -617,7 +625,7 @@ mod tests {
 
     #[test]
     fn miss_blocks_until_dram_returns_then_hits() {
-        let mut mem = MemorySubsystem::modeled(&small_config(64), 4);
+        let mut mem = MemorySubsystem::modeled(&small_config(64), 4, DEFAULT_WHEEL_HORIZON);
         assert!(!mem.edges_ready(0, 0, 4), "cold cache must miss");
         assert_eq!(mem.cache_stats().misses, 1); // 4 edges = 1 line
         let cycles = drive_until_ready(&mut mem, 0, 0, 4);
@@ -631,7 +639,7 @@ mod tests {
 
     #[test]
     fn backpressure_retries_do_not_recount_hits() {
-        let mut mem = MemorySubsystem::modeled(&small_config(64), 2);
+        let mut mem = MemorySubsystem::modeled(&small_config(64), 2, DEFAULT_WHEEL_HORIZON);
         // warm the line with one query, then a second request hits it
         drive_until_ready(&mut mem, 0, 0, 4);
         assert!(mem.edges_ready(0, 1, 2));
@@ -650,7 +658,7 @@ mod tests {
 
     #[test]
     fn multi_line_ranges_stream_in_order() {
-        let mut mem = MemorySubsystem::modeled(&small_config(64), 2);
+        let mut mem = MemorySubsystem::modeled(&small_config(64), 2, DEFAULT_WHEEL_HORIZON);
         // 32 edges × 16 B = 8 lines
         assert!(!mem.edges_ready(1, 0, 32));
         assert_eq!(mem.cache_stats().misses, 8, "all lines fetch in parallel");
@@ -670,6 +678,7 @@ mod tests {
                 ..MemoryConfig::hbm2()
             },
             2,
+            DEFAULT_WHEEL_HORIZON,
         );
         let apart = 16 * (64 / EDGE_BYTES); // one full cache of lines
         let mut done = [false; 2];
@@ -686,7 +695,7 @@ mod tests {
 
     #[test]
     fn offset_and_edge_regions_do_not_alias() {
-        let mut mem = MemorySubsystem::modeled(&small_config(64), 1);
+        let mut mem = MemorySubsystem::modeled(&small_config(64), 1, DEFAULT_WHEEL_HORIZON);
         assert!(!mem.offset_ready(0, 0));
         assert!(!mem.edges_ready(0, 0, 1));
         // two distinct lines were fetched
@@ -695,7 +704,7 @@ mod tests {
 
     #[test]
     fn zero_length_range_is_trivially_ready() {
-        let mut mem = MemorySubsystem::modeled(&small_config(16), 1);
+        let mut mem = MemorySubsystem::modeled(&small_config(16), 1, DEFAULT_WHEEL_HORIZON);
         assert!(mem.edges_ready(0, 7, 0));
         assert_eq!(mem.cache_stats(), CacheStats::default());
     }
@@ -705,8 +714,8 @@ mod tests {
         // Direct-mapped: with 2 alternating far-apart lines, a tiny cache
         // thrashes while a larger one keeps both.
         let lines_apart = 64 * 1024 / 64; // one 64 KiB cache worth of lines
-        let mut small = MemorySubsystem::modeled(&small_config(64), 1);
-        let mut large = MemorySubsystem::modeled(&small_config(256), 1);
+        let mut small = MemorySubsystem::modeled(&small_config(64), 1, DEFAULT_WHEEL_HORIZON);
+        let mut large = MemorySubsystem::modeled(&small_config(256), 1, DEFAULT_WHEEL_HORIZON);
         for mem in [&mut small, &mut large] {
             for _round in 0..4 {
                 for &edge in &[0u64, lines_apart * (64 / EDGE_BYTES)] {

@@ -430,7 +430,7 @@ impl AcceleratorConfig {
                 self.name
             ));
         }
-        if let Err(reason) = higraph_sim::EventWheel::try_new(1, self.wheel_horizon) {
+        if let Err(reason) = higraph_sim::EventWheel::check_horizon(self.wheel_horizon) {
             return Err(format!(
                 "wheel horizon rejected for '{}': {reason}",
                 self.name

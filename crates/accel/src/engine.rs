@@ -202,6 +202,13 @@ impl<P: Copy + 'static> ClockedComponent for ScatterPipeline<P> {
         self.back.skip(cycles);
         self.mem.skip(cycles);
     }
+
+    /// Held edges that must cross a dataflow fabric that never accepts
+    /// can never drain (`docs/simulation.md`); a fast-forward drain then
+    /// stalls at its guard in one step.
+    fn doomed(&self) -> bool {
+        self.back.doomed()
+    }
 }
 
 /// One chip's complete microarchitectural state: front-end, back-end,

@@ -76,6 +76,15 @@ impl<T: Packet> AnyNetwork<T> {
         }
     }
 
+    /// Whether the fabric refuses every push forever (only an undersized
+    /// naive nW1R FIFO does; see `NaiveFifoNetwork::never_accepts`).
+    pub fn never_accepts(&self) -> bool {
+        match self {
+            AnyNetwork::Crossbar(_) | AnyNetwork::Mdp(_) => false,
+            AnyNetwork::Naive(n) => n.never_accepts(),
+        }
+    }
+
     /// Bulk-commits `count` deterministic input rejections.
     pub fn commit_rejected(&mut self, count: u64) {
         match self {
@@ -293,11 +302,11 @@ impl NetworkFactory {
     /// infinite-bandwidth stub when the configuration models no memory.
     pub fn memory_subsystem(&self) -> MemorySubsystem {
         match &self.config.memory {
-            Some(memory) => {
-                let mut mem = MemorySubsystem::modeled(memory, self.config.front_channels);
-                mem.set_wheel_horizon(self.config.wheel_horizon);
-                mem
-            }
+            Some(memory) => MemorySubsystem::modeled(
+                memory,
+                self.config.front_channels,
+                self.config.wheel_horizon,
+            ),
             None => MemorySubsystem::infinite(),
         }
     }

@@ -483,6 +483,32 @@ mod tests {
     }
 
     #[test]
+    fn host_only_axes_never_change_metrics() {
+        use crate::engine::Engine;
+        use higraph_vcpm::programs::PageRank;
+        let graph = higraph_graph::gen::erdos_renyi(256, 2048, 15, 3);
+        // Memory modeled, so the horizon sizes a live DRAM event wheel.
+        let [(_, anchor), _] = DesignSpace::anchors();
+        let base = anchor.with(Axis::CacheKb, 1).with(Axis::DramChannels, 0);
+        let metrics = |g: Genome| {
+            let point = DesignSpace::build(&g).expect("lattice point builds");
+            Engine::new(point.config, &graph)
+                .run(&PageRank::new(2))
+                .expect("drains")
+                .metrics
+        };
+        let reference = metrics(base);
+        for arena in 0..Axis::ArenaCapacity.values().len() {
+            for wheel in 0..Axis::WheelHorizon.values().len() {
+                let g = base
+                    .with(Axis::ArenaCapacity, arena)
+                    .with(Axis::WheelHorizon, wheel);
+                assert_eq!(metrics(g), reference, "arena {arena}, wheel {wheel}");
+            }
+        }
+    }
+
+    #[test]
     fn lattice_size_is_in_the_advertised_range() {
         let n = DesignSpace::size();
         assert!(n > 100_000, "space should be large enough to search: {n}");

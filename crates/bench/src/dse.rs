@@ -204,9 +204,10 @@ fn stall_guard_for(point: &DesignPoint, graph: &Csr) -> u64 {
 
 /// The memo cache shared across one exploration: job identity → cycle
 /// count (`None` = the design stalled or failed). Keyed on the graph's
-/// content hash plus the *canonical* configuration encoding, so two
-/// lattice points that decode to the same hardware — or a later rung
-/// re-scoring a survivor on an already-seen workload — simulate once.
+/// content hash plus the *canonical* configuration encoding with the
+/// host-only settings fixed, so two lattice points that decode to the
+/// same hardware — or a later rung re-scoring a survivor on an
+/// already-seen workload — simulate once.
 /// Sound because runs are bit-deterministic (same key ⇒ same cycles).
 /// Bounded LRU ([`crate::memo::LruCache`]) so an exploration's memo
 /// footprint stays fixed no matter how large the budget is.
@@ -218,12 +219,22 @@ type EvalMemo = crate::memo::LruCache<Option<u64>>;
 const EVAL_MEMO_CAPACITY: usize = 4096;
 
 fn memo_key(point: &DesignPoint, fidelity: &Fidelity, graph_hash: u64) -> String {
+    // The arena capacity and the wheel horizon size host-side structures
+    // and never change cycles (`Axis::ArenaCapacity`), so designs that
+    // differ only there share one simulation: both are keyed at
+    // HiGraph's values.
+    let host = AcceleratorConfig::higraph();
+    let config = AcceleratorConfig {
+        arena_capacity: host.arena_capacity,
+        wheel_horizon: host.wheel_horizon,
+        ..point.config.clone()
+    };
     format!(
         "{:016x}|chips={}|pr={}|{}",
         graph_hash,
         point.chips,
         fidelity.pr_iters,
-        point.config.canonical_encoding()
+        config.canonical_encoding()
     )
 }
 
@@ -349,8 +360,6 @@ pub fn explore(settings: &DseSettings) -> DseOutcome {
         !settings.rungs.is_empty(),
         "need at least one fidelity rung"
     );
-    let graphs: Vec<Csr> = settings.rungs.iter().map(Fidelity::build).collect();
-    let graph_hashes: Vec<u64> = graphs.iter().map(Csr::content_hash).collect();
     let mut rng = StdRng::seed_from_u64(settings.seed);
     let mut points_evaluated = 0usize;
     let mut memo: EvalMemo = EvalMemo::new(EVAL_MEMO_CAPACITY);
@@ -363,14 +372,20 @@ pub fn explore(settings: &DseSettings) -> DseOutcome {
         .map(|g| DesignSpace::build(&g).expect("lattice points build"))
         .collect();
 
-    // Successive halving up the fidelity schedule.
+    // Successive halving up the fidelity schedule. Each rung builds its
+    // graph and drops it when done, except the final one, which
+    // refinement and the anchors reuse: one rung graph is alive at a
+    // time.
     let mut final_scored: Vec<(DesignPoint, Objectives)> = Vec::new();
-    for (i, (fidelity, graph)) in settings.rungs.iter().zip(&graphs).enumerate() {
+    let mut final_graph = None;
+    for (i, fidelity) in settings.rungs.iter().enumerate() {
+        let graph = fidelity.build();
+        let graph_hash = graph.content_hash();
         let evals = evaluate(
             &cohort,
             fidelity,
-            graph,
-            graph_hashes[i],
+            &graph,
+            graph_hash,
             settings.parallel,
             &mut memo,
             &mut memo_hits,
@@ -379,6 +394,7 @@ pub fn explore(settings: &DseSettings) -> DseOutcome {
         let scored: Vec<(DesignPoint, Objectives)> = evals.into_iter().flatten().collect();
         if i + 1 == settings.rungs.len() {
             final_scored = scored;
+            final_graph = Some((graph, graph_hash));
         } else {
             let order = selection_order(&scored);
             let keep = (settings.budget / settings.eta.max(2).pow(i as u32 + 1))
@@ -397,11 +413,8 @@ pub fn explore(settings: &DseSettings) -> DseOutcome {
     }
 
     // Stochastic hill-climb: mutate front members at full fidelity.
-    let (final_fidelity, final_graph) = (
-        settings.rungs.last().expect("non-empty rungs"),
-        graphs.last().expect("non-empty rungs"),
-    );
-    let final_hash = *graph_hashes.last().expect("non-empty rungs");
+    let final_fidelity = settings.rungs.last().expect("non-empty rungs");
+    let (final_graph, final_hash) = final_graph.expect("non-empty rungs");
     for _ in 0..settings.refine_rounds {
         let parents: Vec<_> = front
             .points()
@@ -420,7 +433,7 @@ pub fn explore(settings: &DseSettings) -> DseOutcome {
         let evals = evaluate(
             &mutants,
             final_fidelity,
-            final_graph,
+            &final_graph,
             final_hash,
             settings.parallel,
             &mut memo,
@@ -446,7 +459,7 @@ pub fn explore(settings: &DseSettings) -> DseOutcome {
     let evals = evaluate(
         &designs,
         final_fidelity,
-        final_graph,
+        &final_graph,
         final_hash,
         settings.parallel,
         &mut memo,

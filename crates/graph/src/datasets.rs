@@ -237,6 +237,38 @@ mod tests {
         assert_eq!(g.num_edges(), 64 << 10);
     }
 
+    /// Every experiment's inputs: the stand-ins' content hashes, pinned
+    /// so a generator change that alters any edge, weight or offset
+    /// fails here rather than as drifted cycle counts.
+    #[test]
+    fn stand_in_content_hashes_are_pinned() {
+        const PINNED: [(Dataset, u32, u64); 16] = [
+            (Dataset::Vote, 1, 0x9bbd_e0d5_597d_57f9),
+            (Dataset::Vote, 4, 0x33c6_a9b3_3e30_0370),
+            (Dataset::Vote, 16, 0xf562_3953_8e46_30df),
+            (Dataset::Vote, 32, 0xdc82_e76e_7967_60f6),
+            (Dataset::Epinions, 1, 0x5a3d_655d_c748_d36c),
+            (Dataset::Epinions, 4, 0xc838_33b2_62cd_0032),
+            (Dataset::Epinions, 16, 0x57d7_e799_d63d_bcf1),
+            (Dataset::Epinions, 32, 0xd7e8_1bbd_55c8_c0d3),
+            (Dataset::Slashdot, 1, 0x386a_b4ec_1ef6_ffd7),
+            (Dataset::Slashdot, 4, 0x4c6f_d250_877e_0371),
+            (Dataset::Slashdot, 16, 0x34bc_352e_74a2_41da),
+            (Dataset::Slashdot, 32, 0x48aa_5dd2_20af_1c22),
+            (Dataset::Twitter, 1, 0x5d1d_f9da_ed4e_87ec),
+            (Dataset::Twitter, 4, 0x4e37_33cc_f957_f6fa),
+            (Dataset::Twitter, 16, 0xc878_6f2f_7578_f90b),
+            (Dataset::Twitter, 32, 0xed17_4d58_fdcd_2dff),
+        ];
+        for (dataset, divisor, hash) in PINNED {
+            assert_eq!(
+                dataset.build_scaled(divisor).content_hash(),
+                hash,
+                "{dataset} / {divisor}"
+            );
+        }
+    }
+
     #[test]
     fn builds_are_deterministic() {
         let a = Dataset::Vote.build_scaled(8);

@@ -10,10 +10,8 @@
 //! set, and no single vertex that would serialize an entire accelerator
 //! bank (an artifact no SNAP graph exhibits).
 
-// lint:allow-file(panic-freedom): generator argument checks are the documented public-API panic contract (cold construction, never per-cycle), and every EdgeList::push endpoint is in range by those same bounds
-use crate::builder::EdgeList;
-use crate::csr::Csr;
-use crate::weights::assign_random_weights;
+// lint:allow-file(panic-freedom): generator argument checks are the documented public-API panic contract (cold construction, never per-cycle), and the CSR built in place is valid by those same bounds
+use crate::csr::{Csr, Edge, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,16 +63,25 @@ pub fn power_law(
         pool.swap(i, rng.gen_range(0..=i));
     }
 
-    let mut list = EdgeList::with_capacity(num_vertices, target_edges as usize);
-    let mut cursor = 0usize;
-    for (src, &deg) in out_degrees.iter().enumerate() {
-        for _ in 0..deg {
-            list.push(src as u32, pool[cursor], 0)
-                .expect("endpoints in range");
-            cursor += 1;
-        }
-    }
-    assign_random_weights(list.into_csr(), 1..=max_weight, seed ^ 0x5eed)
+    // Sources take their edges in ascending order, so the CSR fills in
+    // place: the out-degrees are the offset deltas, the shuffled pool
+    // read front to back is the destination column, and the weights come
+    // from their own stream in CSR order.
+    let mut offsets = Vec::with_capacity(num_vertices as usize + 1);
+    offsets.push(0u64);
+    offsets.extend(out_degrees.iter().scan(0u64, |end, &deg| {
+        *end += deg;
+        Some(*end)
+    }));
+    let mut weights = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let edges: Vec<Edge> = pool
+        .into_iter()
+        .map(|dst| Edge {
+            dst: VertexId(dst),
+            weight: weights.gen_range(1..=max_weight),
+        })
+        .collect();
+    Csr::from_raw_parts(offsets, edges).expect("degree sums match and endpoints are in range")
 }
 
 /// Samples a power-law degree sequence summing to exactly `target`, with

@@ -78,38 +78,49 @@ pub fn partition(graph: &Csr, num_slices: usize) -> Vec<Slice> {
     assert!(num_slices > 0, "need at least one slice");
     let n = graph.num_vertices();
     let per = n.div_ceil(num_slices as u32).max(1);
-    (0..num_slices)
-        .map(|i| {
-            let dst_start = (i as u32 * per).min(n);
-            let dst_end = ((i as u32 + 1) * per).min(n);
+    // Vertex `v` belongs to slice `v / per`. One pass sizes every slice's
+    // Edge Array exactly; a second fills them all.
+    let slice_of = |v: u32| (v / per) as usize;
+    let mut sizes = vec![0usize; num_slices];
+    for e in graph.edges_raw() {
+        sizes[slice_of(e.dst.0)] += 1;
+    }
+    let mut parts: Vec<(Vec<u64>, Vec<Edge>)> = sizes
+        .iter()
+        .map(|&size| {
             let mut offsets = Vec::with_capacity(n as usize + 1);
             offsets.push(0u64);
-            let mut edges = Vec::new();
-            let mut cut_edges = 0u64;
-            let mut ghost_vertices = 0u32;
-            for u in graph.vertices() {
-                let before = edges.len();
-                for e in graph.neighbors(u) {
-                    if (dst_start..dst_end).contains(&e.dst.0) {
-                        edges.push(*e);
-                    }
-                }
-                if !(dst_start..dst_end).contains(&u.0) && edges.len() > before {
-                    cut_edges += (edges.len() - before) as u64;
-                    ghost_vertices += 1;
-                }
-                offsets.push(edges.len() as u64);
+            (offsets, Vec::with_capacity(size))
+        })
+        .collect();
+    let mut cut_edges = vec![0u64; num_slices];
+    let mut ghost_vertices = vec![0u32; num_slices];
+    for u in graph.vertices() {
+        for e in graph.neighbors(u) {
+            parts[slice_of(e.dst.0)].1.push(*e);
+        }
+        let home = slice_of(u.0);
+        for (i, (offsets, edges)) in parts.iter_mut().enumerate() {
+            let added = edges.len() as u64 - offsets[offsets.len() - 1];
+            if i != home && added > 0 {
+                cut_edges[i] += added;
+                ghost_vertices[i] += 1;
             }
-            Slice {
-                index: i,
-                dst_start,
-                dst_end,
-                graph: Csr::from_raw_parts(offsets, edges)
-                    // lint:allow(panic-freedom): infallible: each slice copies a structurally valid sub-range of a valid CSR
-                    .expect("slice construction preserves CSR validity"),
-                cut_edges,
-                ghost_vertices,
-            }
+            offsets.push(edges.len() as u64);
+        }
+    }
+    parts
+        .into_iter()
+        .enumerate()
+        .map(|(i, (offsets, edges))| Slice {
+            index: i,
+            dst_start: (i as u32 * per).min(n),
+            dst_end: ((i as u32 + 1) * per).min(n),
+            graph: Csr::from_raw_parts(offsets, edges)
+                // lint:allow(panic-freedom): infallible: each slice copies a structurally valid sub-range of a valid CSR
+                .expect("slice construction preserves CSR validity"),
+            cut_edges: cut_edges[i],
+            ghost_vertices: ghost_vertices[i],
         })
         .collect()
 }
@@ -165,6 +176,60 @@ pub fn reassemble(slices: &[Slice]) -> Option<Csr> {
 mod tests {
     use super::*;
     use crate::gen::{power_law, rmat, RmatConfig};
+
+    /// One slice at a time by filtering every edge: the definition the
+    /// two-pass [`partition`] must reproduce exactly.
+    fn reference_partition(graph: &Csr, num_slices: usize) -> Vec<Slice> {
+        let n = graph.num_vertices();
+        let per = n.div_ceil(num_slices as u32).max(1);
+        (0..num_slices)
+            .map(|i| {
+                let dst_start = (i as u32 * per).min(n);
+                let dst_end = ((i as u32 + 1) * per).min(n);
+                let owns = |v: u32| (dst_start..dst_end).contains(&v);
+                let mut offsets = vec![0u64];
+                let mut edges = Vec::new();
+                let (mut cut_edges, mut ghost_vertices) = (0u64, 0u32);
+                for u in graph.vertices() {
+                    let before = edges.len();
+                    edges.extend(graph.neighbors(u).iter().filter(|e| owns(e.dst.0)));
+                    if !owns(u.0) && edges.len() > before {
+                        cut_edges += (edges.len() - before) as u64;
+                        ghost_vertices += 1;
+                    }
+                    offsets.push(edges.len() as u64);
+                }
+                Slice {
+                    index: i,
+                    dst_start,
+                    dst_end,
+                    graph: Csr::from_raw_parts(offsets, edges).unwrap(),
+                    cut_edges,
+                    ghost_vertices,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn partition_matches_the_per_slice_definition() {
+        let graphs = [
+            power_law(128, 1024, 2.0, 7, 3),
+            power_law(1000, 9000, 2.1, 63, 8),
+            rmat(&RmatConfig::graph500(7), 2),
+            Csr::from_raw_parts(vec![0, 0, 0], Vec::new()).unwrap(),
+        ];
+        for g in &graphs {
+            for num_slices in [1, 2, 3, 4, 7, 16, 300] {
+                assert_eq!(
+                    partition(g, num_slices),
+                    reference_partition(g, num_slices),
+                    "{} vertices into {num_slices} slices",
+                    g.num_vertices()
+                );
+            }
+        }
+    }
 
     #[test]
     fn partition_is_lossless_up_to_order() {

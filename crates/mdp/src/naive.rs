@@ -48,6 +48,13 @@ impl<T: Packet> NaiveFifoNetwork<T> {
         self.fifos[0].capacity()
     }
 
+    /// Whether the capacity rule refuses every push forever: a FIFO with
+    /// fewer slots than writers never has `n_in` free entries, so no
+    /// packet is ever accepted (Fig. 5's buffer requirement, violated).
+    pub fn never_accepts(&self) -> bool {
+        self.capacity() < self.n_in
+    }
+
     /// The nW1R network never moves packets at a tick (delivery is the
     /// same-cycle push), so it is always safely skippable from the
     /// clock's perspective; acceptance changes only when a consumer pops
@@ -217,6 +224,20 @@ mod tests {
         assert!(n.push(0, P(0)).is_ok());
         n.tick();
         assert!(n.push(1, P(0)).is_err());
+    }
+
+    #[test]
+    fn fewer_slots_than_writers_never_accept() {
+        let mut n = NaiveFifoNetwork::new(8, 2, 7);
+        assert!(n.never_accepts());
+        for cycle in 0..16 {
+            assert!(n.push(cycle % 8, P(cycle % 2)).is_err());
+            n.tick();
+        }
+        // one slot per writer admits the first packet
+        let mut n = NaiveFifoNetwork::new(8, 2, 8);
+        assert!(!n.never_accepts());
+        assert!(n.push(0, P(1)).is_ok());
     }
 
     #[test]

@@ -155,6 +155,19 @@ pub trait ClockedComponent {
             self.tick();
         }
     }
+
+    /// Whether this component holds work that can provably never drain,
+    /// whatever the combinational phase does (a fabric that can never
+    /// accept a packet the held work must pass through).
+    ///
+    /// A fast-forward scheduler checks this at each window selection and
+    /// on `true` ends the drain at its stall guard in one step, with the
+    /// exact [`StallError`] the per-cycle loop would reach. It must never
+    /// be optimistic: `true` only when no sequence of cycles drains the
+    /// component. The default, `false`, is always safe.
+    fn doomed(&self) -> bool {
+        false
+    }
 }
 
 /// Folds two activity hints: the composite can act as soon as either
@@ -512,11 +525,22 @@ impl Scheduler {
                 }));
             }
             if self.fast_forward {
+                selections += 1;
+                if component.doomed() {
+                    // The naive loop would tick to the guard and stall;
+                    // account those cycles and report the stall on the
+                    // next iteration. Component state is not advanced:
+                    // a stalled drain's state is discarded.
+                    let rest = self.stall_guard - spent;
+                    spent += rest;
+                    self.cycles += rest;
+                    self.skipped += rest;
+                    continue;
+                }
                 // A quiescent-but-undrained component is a deadlock: no
                 // input will ever arrive inside a drain, so burn the
                 // remaining guard in one step (the naive loop would tick
                 // it away) and report the stall on the next iteration.
-                selections += 1;
                 let window = component.next_activity().unwrap_or(u64::MAX);
                 if window > 0 {
                     let window = window.min(self.stall_guard - spent);
@@ -767,6 +791,66 @@ mod tests {
             .drain(&mut fast, |_, _| {})
             .expect_err("stalls");
         assert_eq!(err_naive, err_fast);
+    }
+
+    /// Holds one item nothing can ever retire, and says so.
+    #[derive(Debug, Default)]
+    struct Wedged {
+        ticks: u64,
+    }
+
+    impl ClockedComponent for Wedged {
+        fn tick(&mut self) {
+            self.ticks += 1;
+        }
+
+        fn in_flight(&self) -> usize {
+            1
+        }
+
+        fn doomed(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn doomed_component_stalls_after_one_selection() {
+        let run = |fast| {
+            let mut wedged = Wedged::default();
+            let mut s = Scheduler::new()
+                .with_stall_guard(10_000)
+                .with_fast_forward(fast);
+            let mut steps = 0u64;
+            let err = s
+                .drain_with(&mut wedged, |_, _| steps += 1)
+                .expect_err("stalls");
+            (
+                err,
+                s.cycles(),
+                s.skipped_cycles(),
+                s.window_selections(),
+                steps,
+                wedged.ticks,
+            )
+        };
+        let (naive, naive_cycles, _, _, naive_steps, naive_ticks) = run(false);
+        let (fast, fast_cycles, fast_skipped, fast_selections, fast_steps, fast_ticks) = run(true);
+        assert_eq!(
+            naive,
+            StallError {
+                cycles: 10_000,
+                limit: 10_000
+            }
+        );
+        assert_eq!(
+            (naive_cycles, naive_steps, naive_ticks),
+            (10_000, 10_000, 10_000)
+        );
+        // the same stall and clock, without stepping or advancing state
+        assert_eq!(fast, naive);
+        assert_eq!((fast_cycles, fast_skipped), (10_000, 10_000));
+        assert_eq!((fast_steps, fast_ticks), (0, 0));
+        assert_eq!(fast_selections, (0, 1));
     }
 
     #[test]

@@ -448,18 +448,24 @@ pub struct DramSystem {
 
 impl DramSystem {
     /// Creates `num_channels` channels of `num_banks` banks each, with
-    /// `row_lines` cache lines per DRAM row.
+    /// `row_lines` cache lines per DRAM row, and a wake registry spanning
+    /// `horizon` cycles (a host-simulation knob, usually
+    /// [`crate::wheel::DEFAULT_WHEEL_HORIZON`]; modeled cycles are
+    /// unaffected).
     ///
     /// # Panics
     ///
-    /// Panics if any count is zero.
-    // lint:allow-item(panic-freedom, hot-path-alloc): construction: documented zero-size panics plus one-time channel allocation, before any cycle runs
+    /// Panics if any count is zero or `horizon` is invalid per
+    /// [`crate::wheel::EventWheel::check_horizon`]; configuration-derived
+    /// horizons are validated upstream (`AcceleratorConfig::validate`).
+    // lint:allow-item(panic-freedom, hot-path-alloc): construction: documented zero-size and horizon panics plus one-time channel allocation, before any cycle runs
     pub fn new(
         num_channels: usize,
         num_banks: usize,
         queue_depth: usize,
         row_lines: u64,
         timing: DramTiming,
+        horizon: usize,
     ) -> Self {
         assert!(num_channels > 0, "need at least one channel");
         assert!(row_lines > 0, "rows must hold at least one line");
@@ -468,23 +474,8 @@ impl DramSystem {
                 .map(|_| MemoryChannel::new(num_banks, queue_depth, timing))
                 .collect(),
             row_lines,
-            wheel: crate::wheel::EventWheel::new(num_channels, crate::wheel::DEFAULT_WHEEL_HORIZON),
+            wheel: crate::wheel::EventWheel::new(num_channels, horizon),
         }
-    }
-
-    /// Replaces the wake-registry horizon (a configuration knob; the
-    /// default is [`crate::wheel::DEFAULT_WHEEL_HORIZON`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is invalid per
-    /// [`crate::wheel::EventWheel::try_new`]; configuration-derived
-    /// horizons are validated upstream (`AcceleratorConfig::validate`).
-    pub fn set_wheel_horizon(&mut self, horizon: usize) {
-        let mut wheel = crate::wheel::EventWheel::new(self.channels.len(), horizon);
-        wheel.advance(self.wheel.now());
-        wheel.mark_all_dirty();
-        self.wheel = wheel;
     }
 
     /// Number of channels.
@@ -749,6 +740,7 @@ impl crate::snapshot::Snapshot for DramSystem {
 mod tests {
     use super::*;
     use crate::clock::Scheduler;
+    use crate::wheel::DEFAULT_WHEEL_HORIZON;
 
     fn channel(banks: usize, depth: usize) -> MemoryChannel {
         MemoryChannel::new(banks, depth, DramTiming::default())
@@ -828,7 +820,7 @@ mod tests {
 
     #[test]
     fn system_interleaves_lines_across_channels() {
-        let mut sys = DramSystem::new(4, 2, 8, 8, DramTiming::default());
+        let mut sys = DramSystem::new(4, 2, 8, 8, DramTiming::default(), DEFAULT_WHEEL_HORIZON);
         for line in 0..8u64 {
             assert!(sys.try_request(line), "line {line}");
         }
@@ -855,7 +847,7 @@ mod tests {
     fn streaming_is_row_friendly() {
         // consecutive lines in one channel hit the open row until the
         // row boundary
-        let mut sys = DramSystem::new(1, 4, 64, 16, DramTiming::default());
+        let mut sys = DramSystem::new(1, 4, 64, 16, DramTiming::default(), DEFAULT_WHEEL_HORIZON);
         for line in 0..32u64 {
             assert!(sys.try_request(line));
         }
@@ -917,7 +909,7 @@ mod tests {
     #[test]
     fn fast_forward_drain_is_bit_identical() {
         let run = |fast: bool| {
-            let mut sys = DramSystem::new(2, 2, 8, 8, DramTiming::default());
+            let mut sys = DramSystem::new(2, 2, 8, 8, DramTiming::default(), DEFAULT_WHEEL_HORIZON);
             for line in 0..6u64 {
                 assert!(sys.try_request(line));
             }

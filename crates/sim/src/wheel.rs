@@ -121,16 +121,7 @@ impl EventWheel {
                  valid slot counts: 1 ..= u32::MAX"
             ));
         }
-        if !(MIN_WHEEL_HORIZON..=MAX_WHEEL_HORIZON).contains(&horizon) || !horizon.is_power_of_two()
-        {
-            return Err(format!(
-                "event wheel misconfigured: horizon {horizon} is invalid\n  \
-                 valid horizons: powers of two in [{MIN_WHEEL_HORIZON}, {MAX_WHEEL_HORIZON}] \
-                 (e.g. 256, 1024, 4096)\n  \
-                 the horizon is the bucket ring's span in cycles; wakes beyond it spill to an \
-                 overflow list, so a small horizon is slow, not wrong"
-            ));
-        }
+        EventWheel::check_horizon(horizon)?;
         // lint:allow-item(hot-path-alloc): construction-time: ring buckets, occupancy words, and dirty tracking are allocated once per wheel
         Ok(EventWheel {
             wakes: vec![UNARMED; slots],
@@ -142,6 +133,27 @@ impl EventWheel {
             now: 0,
             mask: (horizon - 1) as u64,
         })
+    }
+
+    /// Checks a horizon without building a wheel: configuration
+    /// validation shares this with [`EventWheel::try_new`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an actionable message unless `horizon` is a power of two
+    /// in [[`MIN_WHEEL_HORIZON`], [`MAX_WHEEL_HORIZON`]].
+    pub fn check_horizon(horizon: usize) -> Result<(), String> {
+        if !(MIN_WHEEL_HORIZON..=MAX_WHEEL_HORIZON).contains(&horizon) || !horizon.is_power_of_two()
+        {
+            return Err(format!(
+                "event wheel misconfigured: horizon {horizon} is invalid\n  \
+                 valid horizons: powers of two in [{MIN_WHEEL_HORIZON}, {MAX_WHEEL_HORIZON}] \
+                 (e.g. 256, 1024, 4096)\n  \
+                 the horizon is the bucket ring's span in cycles; wakes beyond it spill to an \
+                 overflow list, so a small horizon is slow, not wrong"
+            ));
+        }
+        Ok(())
     }
 
     /// Number of slots the wheel indexes.
@@ -483,9 +495,7 @@ fn next_set_bit_circular(words: &[u64], start: usize) -> Option<usize> {
 /// re-derived by the owner's window functions once every slot is dirty.
 /// A snapshot therefore records only the clock (plus the shape, for
 /// verification); restore rebuilds a fresh wheel at the saved `now` with
-/// every slot marked dirty, exactly the recipe
-/// [`crate::DramSystem::set_wheel_horizon`] already uses to swap wheels
-/// mid-run.
+/// every slot marked dirty.
 impl crate::snapshot::Snapshot for EventWheel {
     fn save(&self, w: &mut crate::snapshot::SnapWriter) {
         w.tag(b"WHEL");

@@ -294,8 +294,14 @@ proptest! {
         lines in proptest::collection::vec(0u64..512, 1..160),
     ) {
         use higraph::sim::DramSystem;
-        let mut dram = DramSystem::new(channels, banks, depth, 4, DramTiming::default());
-        dram.set_wheel_horizon(1usize << log_horizon);
+        let mut dram = DramSystem::new(
+            channels,
+            banks,
+            depth,
+            4,
+            DramTiming::default(),
+            1usize << log_horizon,
+        );
         let mut cursor = 0usize;
         let mut spent = 0u64;
         while cursor < lines.len() || dram.in_flight() > 0 {
