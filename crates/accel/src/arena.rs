@@ -13,9 +13,13 @@
 //! # Handle lifetime conventions
 //!
 //! * A handle is allocated by the producing stage immediately before the
-//!   fabric `push`; if the fabric rejects the push, the producer frees
-//!   the handle in the same cycle (alloc-then-free-on-reject). Handles
-//!   therefore never dangle in producer-side retry loops.
+//!   fabric `push`, and only after `Network::can_accept` has said the
+//!   push will land (probe before allocate). A refused producer takes no
+//!   handle, so handles never dangle in producer-side retry loops; it
+//!   commits the rejection to the fabric's statistics and records the
+//!   refused pair with [`PairArena::refuse`], which leaves the arena
+//!   exactly as allocating and freeing it would have (checkpoints stay
+//!   byte-identical to that older scheme).
 //! * A handle is freed by the consuming stage in the cycle it pops the
 //!   ref and reads the payload — never earlier, never later.
 //! * Handles are chip-private: each `ScatterPipeline` owns its arenas,
@@ -108,6 +112,26 @@ impl<P: Copy> PairArena<P> {
             self.live[handle as usize] = false;
         }
         self.free.push(handle);
+    }
+
+    /// Leaves the arena exactly as `free(alloc(key, payload))` would,
+    /// without handing out a handle: the slot the next `alloc` takes
+    /// holds the pair, and the free list is unchanged — or, when it is
+    /// empty, gains one new slot. Cheaper than the round trip in the
+    /// common case: no liveness flips, and the free list is only read.
+    #[inline]
+    pub fn refuse(&mut self, key: u32, payload: P) {
+        match self.free.last() {
+            Some(&h) => {
+                self.keys[h as usize] = key;
+                self.payloads[h as usize] = payload;
+            }
+            // Rare: the arena grows at its high-water mark.
+            None => {
+                let h = self.alloc(key, payload);
+                self.free(h);
+            }
+        }
     }
 
     /// Handles currently allocated (= packets in flight through the
@@ -335,6 +359,27 @@ mod tests {
         a.free(h1);
         a.free(h2);
         assert_eq!(a.in_use(), 0);
+    }
+
+    #[test]
+    fn refuse_matches_alloc_then_free() {
+        fn image(a: &PairArena<u64>) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
+            (a.keys.clone(), a.payloads.clone(), a.free.clone())
+        }
+        let mut round_trip: PairArena<u64> = PairArena::with_capacity(2);
+        let mut refused = round_trip.clone();
+        for step in 0..6u32 {
+            // grow on an empty free list, reuse the top slot otherwise
+            let h = round_trip.alloc(step, u64::from(step) * 10);
+            round_trip.free(h);
+            refused.refuse(step, u64::from(step) * 10);
+            assert_eq!(image(&round_trip), image(&refused), "step {step}");
+            if step % 2 == 0 {
+                let a = round_trip.alloc(100 + step, 0);
+                let b = refused.alloc(100 + step, 0);
+                assert_eq!(a, b);
+            }
+        }
     }
 
     #[test]

@@ -37,6 +37,9 @@ pub(crate) struct BackEnd<P> {
     edges: EdgeArena<P>,
     /// SoA store for `(v, imm)` update payloads.
     imms: PairArena<P>,
+    /// `m - 1` for the power-of-two channel count `m` (validated): an
+    /// update for vertex `v` goes to vPE channel `v & chan_mask`.
+    chan_mask: u32,
     /// Per-bank free-slot scratch for stage 3, reused every cycle.
     epe_space: Vec<bool>,
     /// Bank-read staging scratch for stage 3, reused every cycle.
@@ -57,6 +60,7 @@ impl<P: Copy + 'static> BackEnd<P> {
             dataflow,
             edges: EdgeArena::with_capacity(config.arena_capacity),
             imms: PairArena::with_capacity(config.arena_capacity),
+            chan_mask: m as u32 - 1,
             epe_space: vec![false; m],
             bank_reads: Vec::new(),
         }
@@ -80,44 +84,54 @@ impl<P: Copy + 'static> BackEnd<P> {
     ) {
         let m = self.epe_q.len();
 
-        // (1) vPEs: drain the dataflow fabric, fold into tProperty.
-        for c in 0..m {
-            match self.dataflow.pop(c) {
-                Some(pkt) => {
-                    debug_assert_eq!(pkt.dest as usize, c);
-                    let v = self.imms.key(pkt.handle);
-                    let imm = self.imms.payload(pkt.handle);
-                    self.imms.free(pkt.handle);
-                    let t = &mut t_props[(v - t_base) as usize];
-                    *t = program.reduce(*t, imm);
-                }
-                None => {
-                    metrics.vpe_starvation_cycles += 1;
-                    metrics.vpe_starvation_per_channel[c] += 1;
-                }
-            }
+        // (1) vPEs: drain the dataflow fabric, fold into tProperty. Only
+        // the outputs presenting an update are visited; every vPE is
+        // first charged a starvation cycle and the ones fed get it back.
+        metrics.vpe_starvation_cycles += m as u64;
+        for starved in metrics.vpe_starvation_per_channel.iter_mut() {
+            *starved += 1;
         }
+        let imms = &mut self.imms;
+        let mut fed = 0u64;
+        self.dataflow.pop_each(|c, pkt| {
+            debug_assert_eq!(pkt.dest as usize, c);
+            let v = imms.key(pkt.handle);
+            let imm = imms.payload(pkt.handle);
+            imms.free(pkt.handle);
+            let t = &mut t_props[(v - t_base) as usize];
+            *t = program.reduce(*t, imm);
+            metrics.vpe_starvation_per_channel[c] -= 1;
+            fed += 1;
+        });
+        metrics.vpe_starvation_cycles -= fed;
 
-        // (2) ePEs: Process_Edge and inject into the dataflow fabric
-        // (alloc-then-free-on-reject, see `crate::arena`).
+        // (2) ePEs: Process_Edge and inject into the dataflow fabric. The
+        // update takes an arena handle only once the fabric will take it
+        // (probe before allocate, see `crate::arena`); a refusal counts
+        // as the rejected push it replaces.
+        let mut refused = 0u64;
         for c in 0..m {
             let Some(&EdgeRef(edge)) = self.epe_q[c].peek() else {
                 continue;
             };
             let dst = self.edges.dst(edge);
+            let dest = dst & self.chan_mask;
             let imm = program.process_edge(self.edges.u_prop(edge), self.edges.weight(edge));
-            let handle = self.imms.alloc(dst, imm);
-            let pkt = ImmRef {
-                handle,
-                dest: dst % m as u32,
-            };
-            if self.dataflow.push(c, pkt).is_ok() {
-                self.epe_q[c].pop();
-                self.edges.free(edge);
-            } else {
-                self.imms.free(handle);
+            if !self.dataflow.can_accept(c, &ImmRef::probe(dest)) {
+                self.imms.refuse(dst, imm);
+                refused += 1;
+                continue;
             }
+            let handle = self.imms.alloc(dst, imm);
+            if let Err(pkt) = self.dataflow.push(c, ImmRef { handle, dest }) {
+                debug_assert!(false, "push refused after an accepting probe");
+                self.imms.free(pkt.handle);
+                continue;
+            }
+            self.epe_q[c].pop();
+            self.edges.free(edge);
         }
+        self.dataflow.commit_rejected(refused);
 
         // (3) Edge banks: one read per bank into the ePE queues.
         for (space, q) in self.epe_space.iter_mut().zip(&self.epe_q) {

@@ -65,7 +65,8 @@ impl<P: Copy> EdgeAccess<P> {
     /// # Panics
     ///
     /// Panics if the validated-config invariants don't hold
-    /// (`front_channels` a power of `radix`, `num_banks` a multiple).
+    /// (`front_channels` a power of two, `num_banks` a power-of-two
+    /// multiple of it).
     pub fn new_mdp(
         front_channels: usize,
         num_banks: usize,
@@ -78,8 +79,8 @@ impl<P: Copy> EdgeAccess<P> {
             .expect("validated config guarantees power-of-two front channels");
         EdgeAccess::Mdp {
             net: RangeMdpNetwork::new(topo, num_banks, capacity)
-                // lint:allow(panic-freedom): infallible: try_new validated bank/channel divisibility
-                .expect("validated config guarantees bank/channel divisibility"),
+                // lint:allow(panic-freedom): infallible: NetworkFactory validated power-of-two banks divisible by the channels
+                .expect("validated config guarantees power-of-two banks divisible by the channels"),
             dispatcher: Dispatcher::new(num_banks),
             read_ports: read_ports.max(1),
             used: vec![false; num_banks],
@@ -150,31 +151,43 @@ impl<P: Copy> EdgeAccess<P> {
                 read_ports,
                 used,
             } => {
-                for o in 0..net.num_channels() {
-                    // A dispatcher's banks are private to it, so only the
-                    // ePE queues (and intra-group bank ports) gate the
-                    // issue. The final stage is a 2W2R module, so up to
-                    // `read_ports` ranges per output can issue per cycle
-                    // when their bank sets are disjoint.
-                    used.iter_mut().for_each(|u| *u = false);
-                    for _read_port in 0..*read_ports {
-                        let Some(range) = net.peek(o) else { break };
-                        let ok = dispatcher
-                            .expand(range)
-                            .all(|(bank, _)| epe_has_space[bank] && !used[bank]);
-                        if !ok {
-                            break;
-                        }
-                        // lint:allow(panic-freedom): infallible: the pop follows a successful peek on the same queue this cycle
-                        let range = net.pop(o).expect("peeked");
-                        reads.extend(dispatcher.expand(&range).map(|(bank, edge_index)| {
-                            used[bank] = true;
-                            BankRead {
-                                bank,
-                                edge_index,
-                                payload: range.payload,
+                // Only outputs presenting a range can issue: walk the
+                // output stage's occupancy mask (each word snapshotted;
+                // pops only clear bits already visited).
+                let width = net.width();
+                for w in 0..net.output_mask().len() {
+                    let mut bits = net.output_mask()[w];
+                    while bits != 0 {
+                        let o = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        // A dispatcher's banks are private to it, so only
+                        // the ePE queues (and intra-group bank ports) gate
+                        // the issue, and only its own group's ports need
+                        // resetting. The final stage is a 2W2R module, so
+                        // up to `read_ports` ranges per output can issue
+                        // per cycle when their bank sets are disjoint.
+                        let group = o * width..(o + 1) * width;
+                        used[group.clone()].fill(false);
+                        for _read_port in 0..*read_ports {
+                            let Some(range) = net.peek(o) else { break };
+                            let ok = dispatcher.expand(range).all(|(bank, _)| {
+                                debug_assert!(group.contains(&bank), "range left its group");
+                                epe_has_space[bank] && !used[bank]
+                            });
+                            if !ok {
+                                break;
                             }
-                        }));
+                            // lint:allow(panic-freedom): infallible: the pop follows a successful peek on the same queue this cycle
+                            let range = net.pop(o).expect("peeked");
+                            reads.extend(dispatcher.expand(&range).map(|(bank, edge_index)| {
+                                used[bank] = true;
+                                BankRead {
+                                    bank,
+                                    edge_index,
+                                    payload: range.payload,
+                                }
+                            }));
+                        }
                     }
                 }
             }

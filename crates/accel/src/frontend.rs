@@ -47,9 +47,11 @@ pub(crate) struct FrontEnd<P> {
     /// Whether the offset point uses the MDP-network (odd-even issue) or
     /// the centralized chain.
     mdp_offset: bool,
-    /// Stage-5 issue-order scratch, reused every cycle (hot path: no
-    /// per-cycle allocation).
-    issue_order: Vec<usize>,
+    /// `n - 1` for the power-of-two channel count `n` (validated): a
+    /// vertex's Offset bank and channel are `u & chan_mask`.
+    chan_mask: u32,
+    /// `log2(n)`: a vertex's Offset bank row is `u >> chan_shift`.
+    chan_shift: u32,
     /// Stage-5 Offset Array bank-port scratch, reset every cycle.
     offset_banks: BankPorts,
 }
@@ -71,7 +73,8 @@ impl<P: Copy + 'static> FrontEnd<P> {
             odd_even: OddEvenArbiter::new(),
             offset_rr: 0,
             mdp_offset: config.offset_network == crate::config::NetworkKind::Mdp,
-            issue_order: Vec::with_capacity(n),
+            chan_mask: n as u32 - 1,
+            chan_shift: n.trailing_zeros(),
             offset_banks: BankPorts::new(n),
         }
     }
@@ -124,26 +127,21 @@ impl<P: Copy + 'static> FrontEnd<P> {
             }
         }
 
-        // (5) Offset Array access: claim (u, u+1) bank pairs. Both the
-        // issue order and the bank-port tracker are per-cycle state kept
-        // in reusable scratch buffers owned by the front-end.
+        // (5) Offset Array access: claim (u, u+1) bank pairs into the
+        // bank-port tracker, per-cycle scratch owned by the front-end.
         self.offset_banks.reset();
-        let claim = |u: u32, ports: &mut BankPorts| -> bool {
-            let b0 = (u as usize) % n;
-            let b1 = (u as usize + 1) % n;
-            let r0 = u64::from(u) / n as u64;
-            let r1 = (u64::from(u) + 1) / n as u64;
-            ports.try_claim_pair((b0, r0), (b1, r1))
-        };
-        self.issue_order.clear();
         if self.mdp_offset {
-            // HiGraph: odd-even alternating priority (Sec. 4.1). Every
-            // channel's conflict check is local (its own and its
-            // neighbour's banks), so channels issue independently.
-            self.issue_order
-                .extend((0..n).filter(|&c| self.odd_even.has_priority(c)));
-            self.issue_order
-                .extend((0..n).filter(|&c| !self.odd_even.has_priority(c)));
+            // HiGraph: odd-even alternating priority (Sec. 4.1): the
+            // prioritized parity's channels issue first, then the rest,
+            // each in ascending order. Every channel's conflict check is
+            // local (its own and its neighbour's banks), so channels
+            // issue independently.
+            let first = usize::from(!self.odd_even.has_priority(0));
+            for parity in [first, first ^ 1] {
+                for c in (parity..n).step_by(2) {
+                    self.issue_offset(c, graph, mem, metrics);
+                }
+            }
         } else {
             // GraphDynS: the "delicate" centralized arbitration — a
             // rotating priority *chain*. Grants propagate down the chain
@@ -151,40 +149,13 @@ impl<P: Copy + 'static> FrontEnd<P> {
             // granted past a blocked one (skip-over would require full
             // per-bank parallel arbitration, exactly the centralization
             // the paper says caps this design at 4 channels).
-            self.issue_order
-                .extend((0..n).map(|off| (self.offset_rr + off) % n));
-            self.offset_rr = (self.offset_rr + 1) % n;
-        }
-        for i in 0..n {
-            let c = self.issue_order[i];
-            let Some(head) = self.offset_q[c].peek() else {
-                continue;
-            };
-            if !self.replay[c].is_idle() {
-                continue;
-            }
-            let u = self.vertices.key(head.handle);
-            // The offset pair must be on chip before the bank claim is
-            // even attempted (a memory stall, not an arbitration
-            // conflict — the grant chain is unaffected).
-            if !mem.offset_ready(c, u) {
-                metrics.memory.stall_cycles += 1;
-                continue;
-            }
-            if claim(u, &mut self.offset_banks) {
-                // lint:allow(panic-freedom): infallible: the pop follows a successful peek on the same queue this cycle
-                let pkt = self.offset_q[c].pop().expect("peeked head");
-                let prop = self.vertices.payload(pkt.handle);
-                self.vertices.free(pkt.handle);
-                let (off, n_off) = graph.offset_pair(VertexId(u));
-                let loaded = self.replay[c].load(off, n_off, prop);
-                debug_assert!(loaded, "replay engine checked idle");
-            } else {
-                metrics.offset_conflicts += 1;
-                if !self.mdp_offset {
+            let mask = self.chan_mask as usize;
+            for i in 0..n {
+                if !self.issue_offset((self.offset_rr + i) & mask, graph, mem, metrics) {
                     break;
                 }
             }
+            self.offset_rr = (self.offset_rr + 1) & mask;
         }
 
         // (5b) Drain the offset-routing fabric into the channel queues.
@@ -201,23 +172,76 @@ impl<P: Copy + 'static> FrontEnd<P> {
         }
 
         // (6) ActiveVertex fetch: one vertex per part per cycle. The
-        // payload enters the arena only if the fabric takes the ref
-        // (alloc-then-free-on-reject, see `crate::arena`).
+        // payload takes an arena handle only once the fabric will take
+        // the ref (probe before allocate, see `crate::arena`); a refusal
+        // counts as the rejected push it replaces.
+        let mut refused = 0u64;
         for c in 0..n {
             let Some(&(u, prop)) = self.av_parts[c].front() else {
                 continue;
             };
-            let handle = self.vertices.alloc(u, prop);
-            let pkt = VertexRef {
-                handle,
-                dest: (u % n as u32),
-            };
-            if self.offset_net.push(c, pkt).is_ok() {
-                self.av_parts[c].pop_front();
-            } else {
-                self.vertices.free(handle);
+            let dest = u & self.chan_mask;
+            if !self.offset_net.can_accept(c, &VertexRef::probe(dest)) {
+                self.vertices.refuse(u, prop);
+                refused += 1;
+                continue;
             }
+            let handle = self.vertices.alloc(u, prop);
+            if let Err(pkt) = self.offset_net.push(c, VertexRef { handle, dest }) {
+                debug_assert!(false, "push refused after an accepting probe");
+                self.vertices.free(pkt.handle);
+                continue;
+            }
+            self.av_parts[c].pop_front();
         }
+        self.offset_net.commit_rejected(refused);
+    }
+
+    /// Stage 5 for channel `c`: its offset-queue head claims the Offset
+    /// Array bank pair `(u, u + 1)` and, on a grant, loads its replay
+    /// engine. Returns `false` only on a bank conflict (the GraphDynS
+    /// chain stops there); an empty queue, a busy replay engine or a
+    /// memory stall lets the chain go on.
+    #[inline]
+    fn issue_offset(
+        &mut self,
+        c: usize,
+        graph: &Csr,
+        mem: &mut MemorySubsystem,
+        metrics: &mut Metrics,
+    ) -> bool {
+        let Some(head) = self.offset_q[c].peek() else {
+            return true;
+        };
+        if !self.replay[c].is_idle() {
+            return true;
+        }
+        let u = self.vertices.key(head.handle);
+        // The offset pair must be on chip before the bank claim is even
+        // attempted (a memory stall, not an arbitration conflict — the
+        // grant chain is unaffected).
+        if !mem.offset_ready(c, u) {
+            metrics.memory.stall_cycles += 1;
+            return true;
+        }
+        let mask = self.chan_mask as usize;
+        let (u0, u1) = (u64::from(u), u64::from(u) + 1);
+        let claimed = self.offset_banks.try_claim_pair(
+            (u0 as usize & mask, u0 >> self.chan_shift),
+            (u1 as usize & mask, u1 >> self.chan_shift),
+        );
+        if !claimed {
+            metrics.offset_conflicts += 1;
+            return false;
+        }
+        // lint:allow(panic-freedom): infallible: the pop follows a successful peek on the same queue this cycle
+        let pkt = self.offset_q[c].pop().expect("peeked head");
+        let prop = self.vertices.payload(pkt.handle);
+        self.vertices.free(pkt.handle);
+        let (off, n_off) = graph.offset_pair(VertexId(u));
+        let loaded = self.replay[c].load(off, n_off, prop);
+        debug_assert!(loaded, "replay engine checked idle");
+        true
     }
 
     /// Cumulative statistics of the offset-routing fabric.
@@ -240,12 +264,7 @@ impl<P: Copy + 'static> FrontEnd<P> {
         // (committed in bulk by `commit_idle`).
         for c in 0..n {
             if let Some(&(u, _)) = self.av_parts[c].front() {
-                // Capacity probe only — nothing is allocated; the
-                // fabrics never dereference a handle.
-                let probe = VertexRef {
-                    handle: u32::MAX,
-                    dest: (u % n as u32),
-                };
+                let probe = VertexRef::probe(u & self.chan_mask);
                 if self.offset_net.can_accept(c, &probe) {
                     return true;
                 }
@@ -319,7 +338,8 @@ impl<P: Copy + 'static> FrontEnd<P> {
         metrics.memory.stall_cycles += stalled_channels * cycles;
         self.offset_net.commit_rejected(rejected_pushes * cycles);
         if !self.mdp_offset {
-            self.offset_rr = (self.offset_rr + (cycles % n as u64) as usize) % n;
+            let mask = self.chan_mask as usize;
+            self.offset_rr = (self.offset_rr + (cycles as usize & mask)) & mask;
         }
     }
 }
@@ -402,8 +422,6 @@ impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for FrontEnd<P> {
         self.replay[..].load(r)?;
         self.replay_out.load(r)?;
         self.odd_even.load(r)?;
-        // Per-cycle scratch is not state.
-        self.issue_order.clear();
         Ok(())
     }
 }

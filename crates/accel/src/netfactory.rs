@@ -161,6 +161,15 @@ impl<T: Packet> Network<T> for AnyNetwork<T> {
         }
     }
 
+    /// Dispatches once per call, not once per output.
+    fn pop_each(&mut self, f: impl FnMut(usize, T)) {
+        match self {
+            AnyNetwork::Crossbar(n) => n.pop_each(f),
+            AnyNetwork::Mdp(n) => n.pop_each(f),
+            AnyNetwork::Naive(n) => n.pop_each(f),
+        }
+    }
+
     fn stats(&self) -> &NetworkStats {
         match self {
             AnyNetwork::Crossbar(n) => n.stats(),

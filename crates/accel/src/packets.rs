@@ -27,6 +27,20 @@ impl Packet for VertexRef {
     }
 }
 
+impl VertexRef {
+    /// A ref with no arena slot behind it, for a capacity probe
+    /// ([`higraph_sim::Network::can_accept`]) before the payload is
+    /// stored: the fabrics route on `dest` and never dereference a
+    /// handle.
+    #[inline]
+    pub(crate) fn probe(dest: u32) -> Self {
+        VertexRef {
+            handle: u32::MAX,
+            dest,
+        }
+    }
+}
+
 /// Handle to an update packet whose `(v, imm)` payload lives in the
 /// back-end's [`crate::arena::PairArena`]. This is what the dataflow
 /// propagation fabric moves per hop.
@@ -41,6 +55,20 @@ pub struct ImmRef {
 impl Packet for ImmRef {
     fn dest(&self) -> usize {
         self.dest as usize
+    }
+}
+
+impl ImmRef {
+    /// A ref with no arena slot behind it, for a capacity probe
+    /// ([`higraph_sim::Network::can_accept`]) before the payload is
+    /// stored: the fabrics route on `dest` and never dereference a
+    /// handle.
+    #[inline]
+    pub(crate) fn probe(dest: u32) -> Self {
+        ImmRef {
+            handle: u32::MAX,
+            dest,
+        }
     }
 }
 

@@ -1,15 +1,17 @@
 //! Host-performance microbenchmarks of the per-cycle hot-path
 //! primitives: `Fifo` push/pop (the ring buffer under every buffered
-//! datapath), a loaded crossbar tick, a loaded `MemoryChannel` tick,
+//! datapath), a loaded crossbar tick, loaded packet and range
+//! MDP-network ticks, a loaded `MemoryChannel` tick,
 //! the `EventWheel` selection loop under sparse vs dense wake sets, and
 //! arena-handle vs struct-copy FIFO traffic. The `repro hostperf`
 //! target measures whole runs; these isolate the data-structure layer
-//! so a ring-buffer, wheel, or arena regression is visible on its own,
+//! so a ring-buffer, fabric, wheel, or arena regression is visible on its own,
 //! without a simulation around it.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use higraph::accel::arena::PairArena;
 use higraph::accel::packets::{VertexPacket, VertexRef};
+use higraph::mdp::{EdgeRange, MdpNetwork, RangeMdpNetwork, Topology};
 use higraph::sim::{
     ClockedComponent, CrossbarNetwork, DramTiming, EventWheel, Fifo, MemoryChannel, Network, Packet,
 };
@@ -106,6 +108,77 @@ fn bench_crossbar_tick(c: &mut Criterion) {
                 xbar.tick();
             }
             black_box(delivered)
+        })
+    });
+    group.finish();
+}
+
+/// A 32-channel radix-2 MDP-network (the dataflow fabric's shape)
+/// ticked under saturating uniform-random load: bit-field routing over
+/// the flat stage FIFOs, plus the occupancy-mask output drain.
+fn bench_mdp_tick(c: &mut Criterion) {
+    const CYCLES: u64 = 20_000;
+    let channels = 32;
+    let mut group = c.benchmark_group("mdp_tick");
+    group.throughput(Throughput::Elements(CYCLES));
+    group.bench_function("loaded_32", |b| {
+        b.iter(|| {
+            let topology = Topology::new(channels, 2).unwrap();
+            let mut net: MdpNetwork<P> = MdpNetwork::with_channel_budget(topology, 40);
+            let mut rng = 0x2545F491u64;
+            let mut delivered = 0u64;
+            for _ in 0..CYCLES {
+                net.pop_each(|_, _| delivered += 1);
+                for i in 0..channels {
+                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let _ = net.push(i, P((rng >> 33) as usize % channels));
+                }
+                net.tick();
+            }
+            black_box(delivered)
+        })
+    });
+    group.finish();
+}
+
+/// A 32-channel range MDP-network over 32 edge banks (the edge-access
+/// fabric's shape) ticked under saturating load of random row-bounded
+/// ranges: in-flight splitting, power-of-two bank math, flat stage
+/// FIFOs.
+fn bench_range_mdp_tick(c: &mut Criterion) {
+    const CYCLES: u64 = 20_000;
+    let channels = 32;
+    let banks = 32u64;
+    let mut group = c.benchmark_group("range_mdp_tick");
+    group.throughput(Throughput::Elements(CYCLES));
+    group.bench_function("loaded_32", |b| {
+        b.iter(|| {
+            let topology = Topology::new(channels, 2).unwrap();
+            let mut net: RangeMdpNetwork<u32> =
+                RangeMdpNetwork::new(topology, banks as usize, 8).unwrap();
+            let mut rng = 0x2545F491u64;
+            let mut edges = 0u64;
+            for _ in 0..CYCLES {
+                for o in 0..channels {
+                    if let Some(r) = net.pop(o) {
+                        edges += u64::from(r.len);
+                    }
+                }
+                for i in 0..channels {
+                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let off = (rng >> 24) % (1 << 20);
+                    let room = banks - off % banks;
+                    let len = 1 + (rng >> 8) % room.min(8);
+                    let range = EdgeRange {
+                        off,
+                        len: len as u32,
+                        payload: i as u32,
+                    };
+                    let _ = net.push(i, range);
+                }
+                net.tick();
+            }
+            black_box(edges)
         })
     });
     group.finish();
@@ -290,6 +363,8 @@ criterion_group!(
     hostperf_micro,
     bench_fifo,
     bench_crossbar_tick,
+    bench_mdp_tick,
+    bench_range_mdp_tick,
     bench_memory_channel_tick,
     bench_event_wheel,
     bench_packet_fifo

@@ -17,8 +17,11 @@ use higraph_sim::{ClockedComponent, Fifo, Network, NetworkStats, Packet};
 #[derive(Debug, Clone)]
 pub struct MdpNetwork<T> {
     topology: Topology,
-    /// `fifos[stage][channel]`; the last stage's FIFOs are the outputs.
-    fifos: Vec<Vec<Fifo<T>>>,
+    /// Channel count `n` (the row length of `fifos`).
+    n: usize,
+    /// Stage FIFOs, flat: stage `s`, channel `c` is `fifos[s * n + c]`;
+    /// the last stage's FIFOs are the outputs.
+    fifos: Vec<Fifo<T>>,
     stats: NetworkStats,
     /// Cached packet count across all stage FIFOs: `in_flight` is O(1)
     /// and an empty fabric's tick early-outs — both on the per-cycle hot
@@ -45,17 +48,14 @@ impl<T: Packet> MdpNetwork<T> {
     /// Panics if `fifo_capacity` is zero.
     // lint:allow-item(hot-path-alloc): construction-time: stage FIFOs and occupancy masks are allocated once per network
     pub fn new(topology: Topology, fifo_capacity: usize) -> Self {
-        let fifos = (0..topology.num_stages())
-            .map(|_| {
-                (0..topology.num_channels())
-                    .map(|_| Fifo::new(fifo_capacity))
-                    .collect()
-            })
+        let n = topology.num_channels();
+        let fifos = (0..topology.num_stages() * n)
+            .map(|_| Fifo::new(fifo_capacity))
             .collect();
-        let words = mask_words(topology.num_channels());
         MdpNetwork {
-            stage_mask: vec![vec![0u64; words]; topology.num_stages()],
+            stage_mask: vec![vec![0u64; mask_words(n)]; topology.num_stages()],
             topology,
+            n,
             fifos,
             stats: NetworkStats::new(),
             occupancy: 0,
@@ -77,10 +77,13 @@ impl<T: Packet> MdpNetwork<T> {
 
     /// Total buffer entries across all stage FIFOs.
     pub fn total_buffer_entries(&self) -> usize {
-        self.fifos
-            .iter()
-            .map(|stage| stage.iter().map(Fifo::capacity).sum::<usize>())
-            .sum()
+        self.fifos.iter().map(Fifo::capacity).sum()
+    }
+
+    /// Index of the last stage (the outputs).
+    #[inline]
+    fn last(&self) -> usize {
+        self.topology.num_stages() - 1
     }
 
     /// Whether the next tick can move nothing: every non-final-stage
@@ -89,12 +92,12 @@ impl<T: Packet> MdpNetwork<T> {
     /// bookkeeping — the per-head HoL counts it accrues are committed in
     /// bulk by [`ClockedComponent::skip`]. Vacuously true when empty.
     pub fn is_wedged(&self) -> bool {
-        let stages = self.topology.num_stages();
-        for s in 0..stages.saturating_sub(1) {
-            for c in 0..self.topology.num_channels() {
-                if let Some(head) = self.fifos[s][c].peek() {
+        let n = self.n;
+        for s in 0..self.last() {
+            for c in 0..n {
+                if let Some(head) = self.fifos[s * n + c].peek() {
                     let target = self.topology.next_channel(s + 1, c, head.dest());
-                    if !self.fifos[s + 1][target].is_full() {
+                    if !self.fifos[(s + 1) * n + target].is_full() {
                         return false;
                     }
                 }
@@ -105,14 +108,15 @@ impl<T: Packet> MdpNetwork<T> {
 
     /// Heads a wedged tick counts as HoL-blocked (non-final-stage heads).
     fn blocked_heads(&self) -> u64 {
-        let stages = self.topology.num_stages();
-        (0..stages.saturating_sub(1))
-            .map(|s| self.fifos[s].iter().filter(|f| !f.is_empty()).count() as u64)
-            .sum()
+        self.fifos[..self.last() * self.n]
+            .iter()
+            .filter(|f| !f.is_empty())
+            .count() as u64
     }
 
     /// Bulk-commits `count` deterministic input rejections (a producer
-    /// retrying a push against a full stage-0 FIFO every cycle).
+    /// retrying a push against a full stage-0 FIFO every cycle, or one
+    /// that probed with [`Network::can_accept`] and was refused).
     pub fn commit_rejected(&mut self, count: u64) {
         self.stats.rejected += count;
     }
@@ -120,22 +124,22 @@ impl<T: Packet> MdpNetwork<T> {
 
 impl<T: Packet> Network<T> for MdpNetwork<T> {
     fn num_inputs(&self) -> usize {
-        self.topology.num_channels()
+        self.n
     }
 
     fn num_outputs(&self) -> usize {
-        self.topology.num_channels()
+        self.n
     }
 
     fn can_accept(&self, input: usize, packet: &T) -> bool {
         let target = self.topology.next_channel(0, input, packet.dest());
-        !self.fifos[0][target].is_full()
+        !self.fifos[target].is_full()
     }
 
     fn push(&mut self, input: usize, packet: T) -> Result<(), T> {
         debug_assert!(packet.dest() < self.num_outputs(), "dest out of range");
         let target = self.topology.next_channel(0, input, packet.dest());
-        match self.fifos[0][target].push(packet) {
+        match self.fifos[target].push(packet) {
             Ok(()) => {
                 self.stats.accepted += 1;
                 self.occupancy += 1;
@@ -150,20 +154,47 @@ impl<T: Packet> Network<T> for MdpNetwork<T> {
     }
 
     fn peek(&self, output: usize) -> Option<&T> {
-        self.fifos[self.topology.num_stages() - 1][output].peek()
+        self.fifos[self.last() * self.n + output].peek()
     }
 
     fn pop(&mut self, output: usize) -> Option<T> {
-        let p = self.fifos[self.topology.num_stages() - 1][output].pop();
+        let last = self.last();
+        let fifo = &mut self.fifos[last * self.n + output];
+        let p = fifo.pop();
         if p.is_some() {
-            self.stats.delivered += 1;
-            self.occupancy -= 1;
-            let last = self.topology.num_stages() - 1;
-            if self.fifos[last][output].is_empty() {
+            if fifo.is_empty() {
                 mask_clear(&mut self.stage_mask[last], output);
             }
+            self.stats.delivered += 1;
+            self.occupancy -= 1;
         }
         p
+    }
+
+    /// Visits only the occupied outputs, through the last stage's
+    /// occupancy mask.
+    fn pop_each(&mut self, mut f: impl FnMut(usize, T)) {
+        let last = self.last();
+        let outputs = &mut self.fifos[last * self.n..];
+        let mask = &mut self.stage_mask[last];
+        let mut delivered = 0usize;
+        for w in 0..mask.len() {
+            let mut bits = mask[w];
+            while bits != 0 {
+                let o = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let Some(packet) = outputs[o].pop() else {
+                    continue;
+                };
+                if outputs[o].is_empty() {
+                    mask_clear(mask, o);
+                }
+                delivered += 1;
+                f(o, packet);
+            }
+        }
+        self.stats.delivered += delivered as u64;
+        self.occupancy -= delivered;
     }
 
     fn stats(&self) -> &NetworkStats {
@@ -178,36 +209,40 @@ impl<T: Packet> ClockedComponent for MdpNetwork<T> {
             // An empty fabric's tick is pure time-keeping.
             return;
         }
-        let stages = self.topology.num_stages();
+        let n = self.n;
         // Move heads from stage s into stage s+1, processing the deepest
         // stage first so freshly freed slots are usable by the stage above
         // (standard pipeline register behaviour), and a packet advances at
         // most one stage per tick.
-        for s in (0..stages.saturating_sub(1)).rev() {
-            for w in 0..self.stage_mask[s].len() {
+        for s in (0..self.last()).rev() {
+            let (upper, lower) = self.fifos.split_at_mut((s + 1) * n);
+            let (here, next) = (&mut upper[s * n..], &mut lower[..n]);
+            let (upper_mask, lower_mask) = self.stage_mask.split_at_mut(s + 1);
+            let (here_mask, next_mask) = (&mut upper_mask[s], &mut lower_mask[0]);
+            for w in 0..here_mask.len() {
                 // Snapshot the word: pops this stage only clear bits we
                 // already visited, pushes land in stage s+1.
-                let mut bits = self.stage_mask[s][w];
+                let mut bits = here_mask[w];
                 while bits != 0 {
                     let c = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     // lint:allow(panic-freedom): infallible: the occupancy mask guarantees this channel has a head
-                    let head = self.fifos[s][c].peek().expect("masked channel has a head");
+                    let head = here[c].peek().expect("masked channel has a head");
                     let target = self.topology.next_channel(s + 1, c, head.dest());
-                    if self.fifos[s + 1][target].is_full() {
+                    if next[target].is_full() {
                         self.stats.hol_blocked += 1;
                         continue;
                     }
                     // lint:allow(panic-freedom): infallible: the pop follows the masked peek above on the same channel
-                    let pkt = self.fifos[s][c].pop().expect("peeked head exists");
-                    self.fifos[s + 1][target]
+                    let pkt = here[c].pop().expect("peeked head exists");
+                    next[target]
                         .push(pkt)
                         // lint:allow(panic-freedom): push cannot fail: the target's space was checked before the transfer
                         .unwrap_or_else(|_| unreachable!("target checked for space"));
-                    if self.fifos[s][c].is_empty() {
-                        mask_clear(&mut self.stage_mask[s], c);
+                    if here[c].is_empty() {
+                        mask_clear(here_mask, c);
                     }
-                    mask_set(&mut self.stage_mask[s + 1], target);
+                    mask_set(next_mask, target);
                 }
             }
         }
@@ -216,10 +251,7 @@ impl<T: Packet> ClockedComponent for MdpNetwork<T> {
     fn in_flight(&self) -> usize {
         debug_assert_eq!(
             self.occupancy,
-            self.fifos
-                .iter()
-                .map(|stage| stage.iter().map(Fifo::len).sum::<usize>())
-                .sum::<usize>(),
+            self.fifos.iter().map(Fifo::len).sum::<usize>(),
             "cached occupancy out of sync"
         );
         self.occupancy
@@ -245,14 +277,16 @@ impl<T: Packet> ClockedComponent for MdpNetwork<T> {
     }
 }
 
+/// The wire form is stage by stage, each stage a channel-ordered FIFO
+/// slice, independent of the flat in-memory layout.
 impl<T: higraph_sim::SnapValue> higraph_sim::Snapshot for MdpNetwork<T> {
     fn save(&self, w: &mut higraph_sim::SnapWriter) {
         w.tag(b"MDPN");
         w.usize(self.topology.num_stages());
-        w.usize(self.topology.num_channels());
+        w.usize(self.n);
         self.stats.save(w);
-        for stage in &self.fifos {
-            stage[..].save(w);
+        for stage in self.fifos.chunks(self.n) {
+            stage.save(w);
         }
     }
 
@@ -260,25 +294,25 @@ impl<T: higraph_sim::SnapValue> higraph_sim::Snapshot for MdpNetwork<T> {
         r.expect_tag(b"MDPN")?;
         let stages = r.usize()?;
         let channels = r.usize()?;
-        if stages != self.topology.num_stages() || channels != self.topology.num_channels() {
+        if stages != self.topology.num_stages() || channels != self.n {
             return Err(higraph_sim::SnapError::new(format!(
                 "MDP-network shape mismatch: snapshot {stages}x{channels}, live {}x{}",
                 self.topology.num_stages(),
-                self.topology.num_channels()
+                self.n
             )));
         }
         self.stats.load(r)?;
-        for stage in &mut self.fifos {
-            stage[..].load(r)?;
+        for stage in self.fifos.chunks_mut(self.n) {
+            stage.load(r)?;
         }
         // Re-derive the occupancy count and per-stage masks.
         self.occupancy = 0;
-        for (s, stage) in self.fifos.iter().enumerate() {
-            self.stage_mask[s].iter_mut().for_each(|word| *word = 0);
+        for (stage, mask) in self.fifos.chunks(self.n).zip(&mut self.stage_mask) {
+            mask.iter_mut().for_each(|word| *word = 0);
             for (c, fifo) in stage.iter().enumerate() {
                 self.occupancy += fifo.len();
                 if !fifo.is_empty() {
-                    mask_set(&mut self.stage_mask[s], c);
+                    mask_set(mask, c);
                 }
             }
         }

@@ -50,6 +50,12 @@ pub enum RangeNetworkError {
         /// Channels in the topology.
         num_channels: usize,
     },
+    /// The bank count is not a power of two, so bank and dispatcher-group
+    /// indices cannot be taken with masks and shifts.
+    BanksNotPowerOfTwo {
+        /// Banks requested.
+        num_banks: usize,
+    },
 }
 
 impl fmt::Display for RangeNetworkError {
@@ -62,11 +68,25 @@ impl fmt::Display for RangeNetworkError {
                 f,
                 "bank count {num_banks} must be a positive multiple of channel count {num_channels}"
             ),
+            RangeNetworkError::BanksNotPowerOfTwo { num_banks } => {
+                write!(f, "bank count {num_banks} must be a power of two")
+            }
         }
     }
 }
 
 impl std::error::Error for RangeNetworkError {}
+
+/// `off % num_banks`: a mask for the power-of-two bank counts the
+/// accelerator's validation guarantees, a division for any other count.
+#[inline]
+fn bank_of(off: u64, num_banks: u64) -> u64 {
+    if num_banks.is_power_of_two() {
+        off & (num_banks - 1)
+    } else {
+        off % num_banks
+    }
+}
 
 /// The Replay Engine: splits one `{Off, nOff}` request into row-aligned
 /// `{Off, Len}` chunks, one per cycle.
@@ -130,7 +150,7 @@ impl<P: Copy> ReplayEngine<P> {
     /// Emits the next chunk, if the engine is busy. Call once per cycle.
     pub fn emit(&mut self) -> Option<EdgeRange<P>> {
         let (off, n_off, payload) = self.current?;
-        let row_end = (off / self.num_banks + 1) * self.num_banks;
+        let row_end = off - bank_of(off, self.num_banks) + self.num_banks;
         let end = n_off.min(row_end);
         let chunk = EdgeRange {
             off,
@@ -170,13 +190,41 @@ impl Dispatcher {
     /// The `(bank, global_edge_index)` reads a range issues. All banks are
     /// distinct (the replay engine guarantees non-wrapping chunks), so a
     /// dispatcher completes a range in a single cycle.
+    ///
+    /// Because the range does not wrap, its banks are the consecutive run
+    /// starting at its first bank, computed once per range, not per edge.
     pub fn expand<P: Copy>(&self, range: &EdgeRange<P>) -> impl Iterator<Item = (usize, u64)> + '_ {
         let off = range.off;
-        let banks = self.num_banks;
-        (0..u64::from(range.len)).map(move |k| {
-            let idx = off + k;
-            ((idx % banks) as usize, idx)
-        })
+        let first = bank_of(off, self.num_banks) as usize;
+        debug_assert!(
+            first as u64 + u64::from(range.len) <= self.num_banks,
+            "range wraps the bank interleaving"
+        );
+        (0..range.len as usize).map(move |k| (first + k, off + k as u64))
+    }
+}
+
+/// Bank-index geometry of a power-of-two bank interleaving: masks and
+/// shifts computed once, so the per-cycle path never divides.
+#[derive(Debug, Clone, Copy)]
+struct BankGeometry {
+    /// `num_banks - 1`: an edge index's bank is `off & bank_mask`.
+    bank_mask: u64,
+    /// `log2(width)`: a bank's dispatcher group is `bank >> width_shift`.
+    width_shift: u32,
+}
+
+impl BankGeometry {
+    /// The bank edge index `off` lives in.
+    #[inline]
+    fn bank(self, off: u64) -> u64 {
+        off & self.bank_mask
+    }
+
+    /// The dispatcher group (output channel) owning `off`'s bank.
+    #[inline]
+    fn group(self, off: u64) -> usize {
+        (self.bank(off) >> self.width_shift) as usize
     }
 }
 
@@ -190,10 +238,15 @@ impl Dispatcher {
 #[derive(Debug, Clone)]
 pub struct RangeMdpNetwork<P> {
     topology: Topology,
+    /// Channel count `n` (the row length of `fifos`).
+    n: usize,
     num_banks: usize,
     /// Banks per output channel (dispatcher width, `m / n`).
     width: usize,
-    fifos: Vec<Vec<Fifo<EdgeRange<P>>>>,
+    geometry: BankGeometry,
+    /// Stage FIFOs, flat: stage `s`, channel `c` is `fifos[s * n + c]`;
+    /// the last stage's FIFOs are the outputs.
+    fifos: Vec<Fifo<EdgeRange<P>>>,
     stats: NetworkStats,
     splits: u64,
     /// Cached range count across all stage FIFOs: `in_flight` is O(1)
@@ -213,7 +266,9 @@ impl<P: Copy> RangeMdpNetwork<P> {
     /// # Errors
     ///
     /// Returns [`RangeNetworkError::BankChannelMismatch`] unless
-    /// `num_banks` is a positive multiple of the channel count.
+    /// `num_banks` is a positive multiple of the channel count, and
+    /// [`RangeNetworkError::BanksNotPowerOfTwo`] unless it is a power of
+    /// two.
     pub fn new(
         topology: Topology,
         num_banks: usize,
@@ -226,16 +281,24 @@ impl<P: Copy> RangeMdpNetwork<P> {
                 num_channels: n,
             });
         }
+        if !num_banks.is_power_of_two() {
+            return Err(RangeNetworkError::BanksNotPowerOfTwo { num_banks });
+        }
+        let width = num_banks / n;
         // lint:allow-item(hot-path-alloc): construction-time: stage FIFOs are allocated once per network
-        let fifos = (0..topology.num_stages())
-            .map(|_| (0..n).map(|_| Fifo::new(fifo_capacity)).collect())
+        let fifos = (0..topology.num_stages() * n)
+            .map(|_| Fifo::new(fifo_capacity))
             .collect();
-        let words = mask_words(n);
         // lint:allow-item(hot-path-alloc): construction-time: occupancy masks are allocated once per network
         Ok(RangeMdpNetwork {
-            width: num_banks / n,
-            stage_mask: vec![vec![0u64; words]; topology.num_stages()],
+            width,
+            geometry: BankGeometry {
+                bank_mask: num_banks as u64 - 1,
+                width_shift: width.trailing_zeros(),
+            },
+            stage_mask: vec![vec![0u64; mask_words(n)]; topology.num_stages()],
             topology,
+            n,
             num_banks,
             fifos,
             stats: NetworkStats::new(),
@@ -246,7 +309,7 @@ impl<P: Copy> RangeMdpNetwork<P> {
 
     /// Number of input/output channels.
     pub fn num_channels(&self) -> usize {
-        self.topology.num_channels()
+        self.n
     }
 
     /// Number of edge banks served.
@@ -269,18 +332,20 @@ impl<P: Copy> RangeMdpNetwork<P> {
         self.splits
     }
 
-    /// First bank of `range` (must be non-wrapping).
-    fn first_bank(&self, range: &EdgeRange<P>) -> usize {
-        (range.off % self.num_banks as u64) as usize
+    /// Index of the last stage (the outputs).
+    #[inline]
+    fn last(&self) -> usize {
+        self.topology.num_stages() - 1
     }
 
     /// The bank-region size a piece may still reach after routing by
     /// `stage` (`target_range(stage)` dispatcher groups of `width` banks
-    /// each). Shift-based so mixed-radix topologies work too.
+    /// each), a power of two. Shift-based so mixed-radix topologies work
+    /// too.
     #[inline]
     fn region_at(&self, stage: usize) -> u64 {
         let region = self.width << self.topology.stage(stage).shift;
-        debug_assert!(region >= self.width);
+        debug_assert!(region >= self.width && region.is_power_of_two());
         region as u64
     }
 
@@ -293,16 +358,17 @@ impl<P: Copy> RangeMdpNetwork<P> {
     #[inline]
     fn for_each_piece(
         region: u64,
-        num_banks: u64,
+        geometry: BankGeometry,
         range: EdgeRange<P>,
         mut f: impl FnMut(EdgeRange<P>) -> bool,
     ) {
-        let b0 = range.off % num_banks;
+        let b0 = geometry.bank(range.off);
         let b_end = b0 + u64::from(range.len); // exclusive, non-wrapping
         let mut cur = range.off;
         let mut cur_bank = b0;
         while cur_bank < b_end {
-            let boundary = (cur_bank / region + 1) * region;
+            // The next multiple of the (power-of-two) region above cur_bank.
+            let boundary = (cur_bank | (region - 1)) + 1;
             let piece_end_bank = boundary.min(b_end);
             let len = (piece_end_bank - cur_bank) as u32;
             let piece = EdgeRange {
@@ -324,27 +390,22 @@ impl<P: Copy> RangeMdpNetwork<P> {
     #[cfg(test)]
     fn split_at_stage(&self, stage: usize, range: EdgeRange<P>) -> Vec<EdgeRange<P>> {
         let mut pieces = Vec::with_capacity(2);
-        Self::for_each_piece(
-            self.region_at(stage),
-            self.num_banks as u64,
-            range,
-            |piece| {
-                pieces.push(piece);
-                true
-            },
-        );
+        Self::for_each_piece(self.region_at(stage), self.geometry, range, |piece| {
+            pieces.push(piece);
+            true
+        });
         pieces
     }
 
     /// Whether input `input` can accept `range` this cycle.
     pub fn can_accept(&self, input: usize, range: &EdgeRange<P>) -> bool {
-        let num_banks = self.num_banks as u64;
-        let width = self.width as u64;
+        let geometry = self.geometry;
         let mut ok = true;
-        Self::for_each_piece(self.region_at(0), num_banks, *range, |piece| {
-            let group = ((piece.off % num_banks) / width) as usize;
-            let t = self.topology.next_channel(0, input, group);
-            ok = !self.fifos[0][t].is_full();
+        Self::for_each_piece(self.region_at(0), geometry, *range, |piece| {
+            let t = self
+                .topology
+                .next_channel(0, input, geometry.group(piece.off));
+            ok = !self.fifos[t].is_full();
             ok
         });
         ok
@@ -365,24 +426,22 @@ impl<P: Copy> RangeMdpNetwork<P> {
     pub fn push(&mut self, input: usize, range: EdgeRange<P>) -> Result<(), EdgeRange<P>> {
         debug_assert!(range.len >= 1, "empty range");
         debug_assert!(
-            self.first_bank(&range) as u64 + u64::from(range.len) <= self.num_banks as u64,
+            self.geometry.bank(range.off) + u64::from(range.len) <= self.num_banks as u64,
             "range wraps the bank interleaving"
         );
         if !self.can_accept(input, &range) {
             self.stats.rejected += 1;
             return Err(range);
         }
-        let num_banks = self.num_banks as u64;
-        let width = self.width as u64;
+        let geometry = self.geometry;
         let region = self.region_at(0);
         let topology = &self.topology;
-        let fifos = &mut self.fifos;
+        let stage0 = &mut self.fifos[..self.n];
         let stage0_mask = &mut self.stage_mask[0];
         let mut pieces = 0u64;
-        Self::for_each_piece(region, num_banks, range, |piece| {
-            let group = ((piece.off % num_banks) / width) as usize;
-            let t = topology.next_channel(0, input, group);
-            fifos[0][t]
+        Self::for_each_piece(region, geometry, range, |piece| {
+            let t = topology.next_channel(0, input, geometry.group(piece.off));
+            stage0[t]
                 .push(piece)
                 // lint:allow(panic-freedom): push cannot fail: space was checked by can_accept before the transfer
                 .unwrap_or_else(|_| unreachable!("space checked by can_accept"));
@@ -399,21 +458,29 @@ impl<P: Copy> RangeMdpNetwork<P> {
     /// The range presented at output `output`, if any. Output ranges lie
     /// entirely within the output's dispatcher group.
     pub fn peek(&self, output: usize) -> Option<&EdgeRange<P>> {
-        self.fifos[self.topology.num_stages() - 1][output].peek()
+        self.fifos[self.last() * self.n + output].peek()
     }
 
     /// Consumes the range presented at output `output`.
     pub fn pop(&mut self, output: usize) -> Option<EdgeRange<P>> {
-        let r = self.fifos[self.topology.num_stages() - 1][output].pop();
+        let last = self.last();
+        let fifo = &mut self.fifos[last * self.n + output];
+        let r = fifo.pop();
         if r.is_some() {
-            self.stats.delivered += 1;
-            self.occupancy -= 1;
-            let last = self.topology.num_stages() - 1;
-            if self.fifos[last][output].is_empty() {
+            if fifo.is_empty() {
                 mask_clear(&mut self.stage_mask[last], output);
             }
+            self.stats.delivered += 1;
+            self.occupancy -= 1;
         }
         r
+    }
+
+    /// Occupancy mask of the output stage: bit `o` (word `o / 64`) is set
+    /// iff output `o` presents a range. Lets a consumer visit only the
+    /// outputs that have something to issue.
+    pub fn output_mask(&self) -> &[u64] {
+        &self.stage_mask[self.last()]
     }
 
     /// Advances one cycle: each non-final stage head is split (if needed)
@@ -430,20 +497,24 @@ impl<P: Copy> RangeMdpNetwork<P> {
             // An empty fabric's tick is pure time-keeping.
             return;
         }
-        let stages = self.topology.num_stages();
-        let num_banks = self.num_banks as u64;
-        let width = self.width as u64;
-        for s in (0..stages.saturating_sub(1)).rev() {
+        let n = self.n;
+        let geometry = self.geometry;
+        for s in (0..self.last()).rev() {
             let region = self.region_at(s + 1);
-            for w in 0..self.stage_mask[s].len() {
+            let (upper, lower) = self.fifos.split_at_mut((s + 1) * n);
+            let (here, next) = (&mut upper[s * n..], &mut lower[..n]);
+            let (upper_mask, lower_mask) = self.stage_mask.split_at_mut(s + 1);
+            let (here_mask, next_mask) = (&mut upper_mask[s], &mut lower_mask[0]);
+            let topology = &self.topology;
+            for w in 0..here_mask.len() {
                 // Snapshot the word: pops this stage only clear bits we
                 // already visited, pushes land in stage s+1.
-                let mut bits = self.stage_mask[s][w];
+                let mut bits = here_mask[w];
                 while bits != 0 {
                     let c = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     // lint:allow(panic-freedom): infallible: the occupancy mask guarantees this channel has a head
-                    let head = *self.fifos[s][c].peek().expect("masked channel has a head");
+                    let head = *here[c].peek().expect("masked channel has a head");
                     // Move a prefix of pieces (ascending bank order) while
                     // their target FIFOs have space; the head shrinks in
                     // place to the contiguous remainder (skid-buffer
@@ -452,19 +523,15 @@ impl<P: Copy> RangeMdpNetwork<P> {
                     // output stages starve while the fabric is congested.
                     // Pieces are visited without materializing them (no
                     // per-head allocation).
-                    let topology = &self.topology;
-                    let fifos = &mut self.fifos;
-                    let next_mask = &mut self.stage_mask[s + 1];
                     let mut moved = 0usize;
                     let mut blocked_at: Option<EdgeRange<P>> = None;
-                    Self::for_each_piece(region, num_banks, head, |piece| {
-                        let group = ((piece.off % num_banks) / width) as usize;
-                        let t = topology.next_channel(s + 1, c, group);
-                        if fifos[s + 1][t].is_full() {
+                    Self::for_each_piece(region, geometry, head, |piece| {
+                        let t = topology.next_channel(s + 1, c, geometry.group(piece.off));
+                        if next[t].is_full() {
                             blocked_at = Some(piece);
                             return false;
                         }
-                        fifos[s + 1][t]
+                        next[t]
                             .push(piece)
                             // lint:allow(panic-freedom): push cannot fail: space was checked by can_accept before the transfer
                             .unwrap_or_else(|_| unreachable!("space checked"));
@@ -474,9 +541,9 @@ impl<P: Copy> RangeMdpNetwork<P> {
                     });
                     match blocked_at {
                         None => {
-                            self.fifos[s][c].pop();
-                            if self.fifos[s][c].is_empty() {
-                                mask_clear(&mut self.stage_mask[s], c);
+                            here[c].pop();
+                            if here[c].is_empty() {
+                                mask_clear(here_mask, c);
                             }
                             // popped one, pushed `moved` pieces
                             self.occupancy += moved - 1;
@@ -492,7 +559,7 @@ impl<P: Copy> RangeMdpNetwork<P> {
                                     payload: head.payload,
                                 };
                                 // lint:allow(panic-freedom): infallible: the masked peek above proved this head exists; peek_mut revisits the same slot
-                                *self.fifos[s][c].peek_mut().expect("head exists") = rest;
+                                *here[c].peek_mut().expect("head exists") = rest;
                                 self.occupancy += moved;
                                 self.splits += moved as u64;
                             }
@@ -507,10 +574,7 @@ impl<P: Copy> RangeMdpNetwork<P> {
     pub fn in_flight(&self) -> usize {
         debug_assert_eq!(
             self.occupancy,
-            self.fifos
-                .iter()
-                .map(|st| st.iter().map(Fifo::len).sum::<usize>())
-                .sum::<usize>(),
+            self.fifos.iter().map(Fifo::len).sum::<usize>(),
             "cached occupancy out of sync"
         );
         self.occupancy
@@ -520,7 +584,6 @@ impl<P: Copy> RangeMdpNetwork<P> {
     pub fn pending_edges(&self) -> u64 {
         self.fifos
             .iter()
-            .flat_map(|st| st.iter())
             .flat_map(|f| f.iter())
             .map(|r| u64::from(r.len))
             .sum()
@@ -601,8 +664,9 @@ impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for RangeMdpNetwork<P> {
         w.usize(self.num_banks);
         w.u64(self.splits);
         self.stats.save(w);
-        for stage in &self.fifos {
-            stage[..].save(w);
+        // Stage by stage, independent of the flat in-memory layout.
+        for stage in self.fifos.chunks(self.n) {
+            stage.save(w);
         }
     }
 
@@ -625,17 +689,17 @@ impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for RangeMdpNetwork<P> {
         }
         self.splits = r.u64()?;
         self.stats.load(r)?;
-        for stage in &mut self.fifos {
-            stage[..].load(r)?;
+        for stage in self.fifos.chunks_mut(self.n) {
+            stage.load(r)?;
         }
         // Re-derive the occupancy count and per-stage masks.
         self.occupancy = 0;
-        for (s, stage) in self.fifos.iter().enumerate() {
-            self.stage_mask[s].iter_mut().for_each(|word| *word = 0);
+        for (stage, mask) in self.fifos.chunks(self.n).zip(&mut self.stage_mask) {
+            mask.iter_mut().for_each(|word| *word = 0);
             for (c, fifo) in stage.iter().enumerate() {
                 self.occupancy += fifo.len();
                 if !fifo.is_empty() {
-                    mask_set(&mut self.stage_mask[s], c);
+                    mask_set(mask, c);
                 }
             }
         }
@@ -784,6 +848,15 @@ mod tests {
         let t = Topology::new(4, 2).unwrap();
         assert!(RangeMdpNetwork::<u32>::new(t.clone(), 15, 4).is_err());
         assert!(RangeMdpNetwork::<u32>::new(t, 0, 4).is_err());
+    }
+
+    #[test]
+    fn rejects_bank_counts_that_are_not_powers_of_two() {
+        let t = Topology::new(4, 2).unwrap();
+        let err = RangeMdpNetwork::<u32>::new(t.clone(), 12, 4).unwrap_err();
+        assert_eq!(err, RangeNetworkError::BanksNotPowerOfTwo { num_banks: 12 });
+        assert!(err.to_string().contains("power of two"), "{err}");
+        assert!(RangeMdpNetwork::<u32>::new(t, 32, 4).is_ok());
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! The paper uses radix 2 (Sec. 5.4 finds larger radices re-introduce
 //! design centralization); the generator supports any power-of-two radix
 //! so the Sec. 5.4 design-option experiment can be reproduced.
+//!
+//! A module's `radix` channels sit exactly `2^shift` apart, so they differ
+//! only in the stage's address-bit field `mask << shift`. Routing a packet
+//! through a stage therefore rewrites that one field of its channel index
+//! with the same field of its destination ([`Topology::next_channel`]):
+//! no module lookup is needed on the per-hop path.
 
 use std::error::Error;
 use std::fmt;
@@ -72,6 +78,12 @@ impl Stage {
     pub fn slot_for(&self, dest: usize) -> usize {
         (dest >> self.shift) & self.mask
     }
+
+    /// The channel-index bits this stage rewrites: `mask << shift`.
+    #[inline]
+    pub fn field(&self) -> usize {
+        self.mask << self.shift
+    }
 }
 
 /// A generated MDP-network topology (Algorithm 1 output).
@@ -80,8 +92,6 @@ pub struct Topology {
     n: usize,
     radix: usize,
     stages: Vec<Stage>,
-    /// `module_of[stage][channel]` -> (module index, slot within module).
-    module_of: Vec<Vec<(usize, usize)>>,
 }
 
 impl Topology {
@@ -167,7 +177,6 @@ impl Topology {
         debug_assert_eq!(radices.iter().product::<usize>(), n);
         let total_bits = n.trailing_zeros();
         let mut stages = Vec::with_capacity(radices.len());
-        let mut module_of = Vec::with_capacity(radices.len());
         let mut bits_consumed = 0u32;
         let mut target_group = 1usize;
         for &r in radices {
@@ -175,16 +184,10 @@ impl Topology {
             let group_base = n / target_group;
             let channel_step = group_base / r;
             let mut modules = Vec::with_capacity(n / r);
-            let mut lookup = vec![(0usize, 0usize); n];
             for j in 0..target_group {
                 let real_base = group_base * j;
                 for k in 0..channel_step {
-                    let channels: Vec<usize> =
-                        (0..r).map(|t| real_base + k + t * channel_step).collect();
-                    let module_idx = modules.len();
-                    for (slot, &c) in channels.iter().enumerate() {
-                        lookup[c] = (module_idx, slot);
-                    }
+                    let channels = (0..r).map(|t| real_base + k + t * channel_step).collect();
                     modules.push(Module { channels });
                 }
             }
@@ -194,14 +197,12 @@ impl Topology {
                 shift: total_bits - bits_consumed,
                 mask: r - 1,
             });
-            module_of.push(lookup);
             target_group *= r;
         }
         Ok(Topology {
             n,
             radix: radices.iter().copied().max().unwrap_or(2),
             stages,
-            module_of,
         })
     }
 
@@ -245,17 +246,17 @@ impl Topology {
     }
 
     /// The channel a packet in channel `channel` moves to when routed by
-    /// stage `stage` toward destination `dest`.
+    /// stage `stage` toward destination `dest`: the channel of the same
+    /// module at slot [`Stage::slot_for`]`(dest)`, which is `channel` with
+    /// the stage's address-bit field replaced by `dest`'s.
     ///
     /// # Panics
     ///
-    /// Panics if any index is out of range.
+    /// Panics if `stage` is out of range.
     #[inline]
     pub fn next_channel(&self, stage: usize, channel: usize, dest: usize) -> usize {
-        let st = &self.stages[stage];
-        let (module_idx, _) = self.module_of[stage][channel];
-        let slot = st.slot_for(dest);
-        st.modules[module_idx].channels[slot]
+        let field = self.stages[stage].field();
+        (channel & !field) | (dest & field)
     }
 
     /// The full path of channels a packet takes from `input` to `dest`
@@ -443,5 +444,45 @@ mod mixed_radix_tests {
         assert!(Topology::new_mixed(6, 2).is_err());
         assert!(Topology::new_mixed(8, 3).is_err());
         assert!(Topology::new_mixed(1, 2).is_err());
+    }
+}
+
+#[cfg(test)]
+mod routing_oracle_tests {
+    use super::*;
+
+    #[test]
+    fn bit_field_routing_matches_the_module_search() {
+        for log_n in 1..=10u32 {
+            let n = 1usize << log_n;
+            for radix in [2usize, 4, 8, 16] {
+                let topologies = [
+                    Topology::new(n, radix).ok(),
+                    Topology::new_mixed(n, radix).ok(),
+                ];
+                for t in topologies.iter().flatten() {
+                    for (s, st) in t.stages().iter().enumerate() {
+                        // Reference: the module of Algorithm 1's list that
+                        // holds each channel.
+                        let mut owner = vec![None; n];
+                        for m in &st.modules {
+                            for &c in &m.channels {
+                                assert!(owner[c].replace(m).is_none(), "channel {c} twice");
+                            }
+                        }
+                        for (channel, module) in owner.iter().enumerate() {
+                            let module = module.expect("every channel belongs to a module");
+                            for dest in 0..n {
+                                assert_eq!(
+                                    t.next_channel(s, channel, dest),
+                                    module.channels[st.slot_for(dest)],
+                                    "n={n} radix={radix} stage={s} channel={channel} dest={dest}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

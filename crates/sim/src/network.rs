@@ -34,6 +34,15 @@ pub trait Network<T: Packet>: ClockedComponent {
     ///
     /// Acceptance may depend on the packet's destination (e.g. which
     /// stage-0 FIFO it routes to inside an MDP-network).
+    ///
+    /// The probe is exact and free of side effects: `can_accept(i, p)`
+    /// is `true` exactly when `push(i, p)` would return `Ok`, and it
+    /// changes no state or statistic. A refused `push` counts one
+    /// rejection in [`NetworkStats::rejected`]; a producer that probes
+    /// first and skips the push instead commits that rejection itself
+    /// (the fabrics' `commit_rejected(1)`), so both paths leave the same
+    /// statistics. This lets a producer build a packet's payload only
+    /// once the fabric will take it.
     fn can_accept(&self, input: usize, packet: &T) -> bool;
 
     /// Offers `packet` at input channel `input`.
@@ -49,6 +58,22 @@ pub trait Network<T: Packet>: ClockedComponent {
 
     /// Consumes the packet presented at output `output`.
     fn pop(&mut self, output: usize) -> Option<T>;
+
+    /// Consumes the packet presented at every output that has one, in
+    /// ascending output order, handing each to `f(output, packet)`.
+    ///
+    /// Equivalent to calling [`Network::pop`] on every output in turn;
+    /// fabrics that track output occupancy visit only occupied outputs.
+    fn pop_each(&mut self, mut f: impl FnMut(usize, T))
+    where
+        Self: Sized,
+    {
+        for output in 0..self.num_outputs() {
+            if let Some(packet) = self.pop(output) {
+                f(output, packet);
+            }
+        }
+    }
 
     /// Whether the fabric holds no packets.
     fn is_empty(&self) -> bool {

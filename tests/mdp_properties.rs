@@ -7,11 +7,17 @@
 //! * the cycle-level network neither loses nor duplicates packets and
 //!   preserves per-flow FIFO order;
 //! * the range-splitting variant covers every requested edge exactly once;
-//! * the replay engine's chunks tile `{Off, nOff}` without gaps/overlap.
+//! * the replay engine's chunks tile `{Off, nOff}` without gaps/overlap;
+//! * every packet fabric keeps the probe contract of
+//!   `Network::can_accept`, and `Network::pop_each` yields exactly what
+//!   the per-output `pop` loop yields.
 
-use higraph::mdp::{EdgeRange, MdpNetwork, RangeMdpNetwork, ReplayEngine, Topology};
-use higraph::sim::{ClockedComponent, Network, Packet};
+use higraph::mdp::{
+    EdgeRange, MdpNetwork, NaiveFifoNetwork, RangeMdpNetwork, ReplayEngine, Topology,
+};
+use higraph::sim::{ClockedComponent, CrossbarNetwork, Network, Packet};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct P {
@@ -197,6 +203,95 @@ proptest! {
         sorted_expected.sort_unstable();
         covered.sort_unstable();
         prop_assert_eq!(covered, sorted_expected);
+    }
+}
+
+/// Drives two copies of one fabric through the same random traffic.
+/// `ops` are `(kind, a, b)` triples: a push of a packet for output `b`
+/// at input `a`, a `pop` of output `a`, a full output drain, or a tick.
+///
+/// On pushes, `pushed` always calls `push` while `probed` asks
+/// `can_accept` first and, when refused, commits the rejection instead:
+/// the probe must predict the push, and both must leave the same
+/// statistics. On a full drain, `pushed` uses `pop_each` while `probed`
+/// pops every output in turn: both must yield the same packets in the
+/// same order.
+fn check_probe_contract<N: Network<P> + Clone>(
+    mut pushed: N,
+    commit_rejected: fn(&mut N, u64),
+    ops: &[(usize, usize, usize)],
+) -> Result<(), TestCaseError> {
+    let mut probed = pushed.clone();
+    let (inputs, outputs) = (pushed.num_inputs(), pushed.num_outputs());
+    for (tag, &(kind, a, b)) in ops.iter().enumerate() {
+        match kind {
+            0..=3 => {
+                let input = a % inputs;
+                let packet = P {
+                    dest: b % outputs,
+                    tag: tag as u64,
+                };
+                let accepts = probed.can_accept(input, &packet);
+                prop_assert_eq!(accepts, pushed.push(input, packet).is_ok());
+                if accepts {
+                    prop_assert!(
+                        probed.push(input, packet).is_ok(),
+                        "push refused after an accepting probe"
+                    );
+                } else {
+                    commit_rejected(&mut probed, 1);
+                }
+            }
+            4 => {
+                let output = a % outputs;
+                prop_assert_eq!(pushed.pop(output), probed.pop(output));
+            }
+            5 => {
+                let mut each = Vec::new();
+                pushed.pop_each(|o, p| each.push((o, p)));
+                let looped: Vec<(usize, P)> = (0..outputs)
+                    .filter_map(|o| probed.pop(o).map(|p| (o, p)))
+                    .collect();
+                prop_assert_eq!(each, looped);
+            }
+            _ => {
+                pushed.tick();
+                probed.tick();
+            }
+        }
+        prop_assert_eq!(pushed.stats(), probed.stats());
+        prop_assert_eq!(pushed.in_flight(), probed.in_flight());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn probe_contract_holds_on_every_fabric(
+        log_n in 1usize..6,
+        radix_log in 1usize..3,
+        cap in 1usize..40,
+        ops in proptest::collection::vec((0usize..7, 0usize..64, 0usize..64), 1..400),
+    ) {
+        let n = 1 << log_n;
+        let topology = Topology::new_mixed(n, 1 << radix_log).expect("valid");
+        check_probe_contract(
+            MdpNetwork::<P>::new(topology, cap),
+            MdpNetwork::commit_rejected,
+            &ops,
+        )?;
+        check_probe_contract(
+            CrossbarNetwork::<P>::new(n, n, cap),
+            CrossbarNetwork::commit_rejected,
+            &ops,
+        )?;
+        check_probe_contract(
+            NaiveFifoNetwork::<P>::new(n, n, cap),
+            NaiveFifoNetwork::commit_rejected,
+            &ops,
+        )?;
     }
 }
 
