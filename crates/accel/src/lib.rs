@@ -71,7 +71,8 @@ pub mod space;
 pub use cache::MemorySubsystem;
 pub use config::{AcceleratorConfig, FaultPlan, MemoryConfig, NetworkKind, OptLevel};
 pub use engine::{
-    Checkpoint, ControlError, Engine, RunOutcome, RunResult, SlicedRunResult, StallDiagnostic,
+    Checkpoint, ControlError, Engine, Outcome, RunOutcome, RunResult, SlicedRunResult,
+    StallDiagnostic,
 };
 pub use faults::{FaultEvent, FaultKind, FaultRuntime};
 pub use metrics::{MemoryMetrics, Metrics};

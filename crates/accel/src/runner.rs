@@ -1,6 +1,6 @@
 //! Parallel batch execution of accelerator simulations.
 //!
-//! A single [`Engine::run`] models one accelerator on one workload; the
+//! A single run models one accelerator on one workload; the
 //! paper's evaluation — and any serving deployment of the model — instead
 //! sweeps whole *batches* of (graph × program × config) points: the Fig. 8
 //! design comparison is a 4 × 6 × 3 sweep, Fig. 10 a 4 × 4 ablation grid,
@@ -12,14 +12,15 @@
 //! Parallelism changes *only* wall-clock time: each simulation is
 //! deterministic and seeded by its own inputs, so results are
 //! bit-identical to running the same jobs serially through
-//! [`Engine::run`] — `tests/batch_runner.rs` asserts this. Sharded jobs
-//! compose with the batch: their per-chip drains fan out over the same
-//! pool, so they use whatever workers the batch leaves idle and run on
-//! the calling thread — bit-identically — when the host is saturated
-//! (`docs/performance.md`).
+//! [`Engine::run`](crate::Engine::run) — `tests/batch_runner.rs` asserts
+//! this.
 //!
-//! Sliced large-graph schedules ([`Engine::run_sliced`], Sec. 5.3) ride
-//! the same path through [`RunMode::Sliced`].
+//! Every job, whatever its [`RunMode`], runs on the one engine,
+//! [`ShardedEngine`]: whole-graph and sliced (Sec. 5.3) jobs on one
+//! chip, sharded jobs on their shard's chips. A sharded job's per-chip
+//! drains fan out over the same pool, so they use whatever workers the
+//! batch leaves idle and run on the calling thread — bit-identically —
+//! when the host is saturated (`docs/performance.md`).
 //!
 //! # Example
 //!
@@ -40,7 +41,7 @@
 //! ```
 
 use crate::config::AcceleratorConfig;
-use crate::engine::{Engine, StallDiagnostic};
+use crate::engine::StallDiagnostic;
 use crate::metrics::Metrics;
 use crate::sharded::{ShardConfig, ShardedEngine};
 use higraph_graph::Csr;
@@ -102,9 +103,11 @@ impl From<StallDiagnostic> for BatchError {
 /// How one batched simulation executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunMode {
-    /// The whole graph resides on chip ([`Engine::run`]).
+    /// The whole graph resides on one chip
+    /// ([`Engine::run`](crate::Engine::run)).
     Whole,
-    /// The Sec. 5.3 large-graph schedule ([`Engine::run_sliced`]).
+    /// The Sec. 5.3 large-graph schedule
+    /// ([`Engine::run_sliced`](crate::Engine::run_sliced)).
     Sliced {
         /// Destination-interval slice count (must be positive).
         num_slices: usize,
@@ -200,9 +203,9 @@ pub struct ShardedTiming {
 pub struct BatchResult<P> {
     /// The job's label.
     pub label: String,
-    /// Final Property Array — bit-identical to a serial [`Engine::run`]
-    /// (or [`Engine::run_sliced`] / [`ShardedEngine::run`]) of the same
-    /// job. Empty when the entry failed (see [`BatchResult::error`]).
+    /// Final Property Array — bit-identical to running the same job on
+    /// its own outside a batch. Empty when the entry failed (see
+    /// [`BatchResult::error`]).
     pub properties: Vec<P>,
     /// Performance metrics of the simulated accelerator (the aggregate
     /// critical-path metrics for sharded jobs); default-zero when the
@@ -387,73 +390,64 @@ where
     Prog: VertexProgram + Sync,
     Prog::Prop: Send,
 {
-    let outcome = (|| match job.mode {
-        RunMode::Whole => {
-            let mut engine =
-                Engine::try_new(job.config.clone(), job.graph).map_err(BatchError::Config)?;
-            engine.set_stall_guard(job.stall_guard);
-            let r = engine.run(&job.program)?;
-            Ok(BatchResult {
-                label: job.label.clone(),
-                properties: r.properties,
-                metrics: r.metrics,
-                sliced: None,
-                sharded: None,
-                error: None,
-            })
-        }
-        RunMode::Sliced {
-            num_slices,
-            memory_bytes_per_cycle,
-        } => {
-            let mut engine =
-                Engine::try_new(job.config.clone(), job.graph).map_err(BatchError::Config)?;
-            engine.set_stall_guard(job.stall_guard);
-            let r = engine.run_sliced(&job.program, num_slices, memory_bytes_per_cycle)?;
-            Ok(BatchResult {
-                label: job.label.clone(),
-                properties: r.properties,
-                metrics: r.metrics,
-                sliced: Some(SlicedTiming {
-                    num_slices: r.num_slices,
-                    swap_cycles_sequential: r.swap_cycles_sequential,
-                    swap_cycles_overlapped: r.swap_cycles_overlapped,
-                }),
-                sharded: None,
-                error: None,
-            })
-        }
-        RunMode::Sharded { shard } => {
-            let mut engine = ShardedEngine::try_new(job.config.clone(), shard, job.graph)
-                .map_err(BatchError::Config)?;
-            engine.set_stall_guard(job.stall_guard);
-            // Default threading: each iteration's per-chip drains fan out
-            // over the pool the batch runs on, so batch- and chip-level
-            // parallelism compose instead of oversubscribing. Results
-            // are bit-identical for any worker count.
-            let r = engine.run(&job.program)?;
-            Ok(BatchResult {
-                label: job.label.clone(),
-                properties: r.properties,
-                sliced: None,
-                sharded: Some(ShardedTiming {
-                    num_chips: r.chips.len(),
-                    cross_chip_packets: r.cross_chip_packets,
-                    per_chip_cycles: r.chips.iter().map(|c| c.cycles).collect(),
-                }),
-                metrics: r.metrics,
-                error: None,
-            })
-        }
-    })();
-    outcome.unwrap_or_else(|e: BatchError| BatchResult {
+    let mut result = BatchResult {
         label: job.label.clone(),
         properties: Vec::new(),
         metrics: Metrics::default(),
         sliced: None,
         sharded: None,
-        error: Some(e),
-    })
+        error: None,
+    };
+    if let Err(e) = simulate(job, &mut result) {
+        result.error = Some(e);
+    }
+    result
+}
+
+/// Runs `job` on one chip, or on its shard's chips, and fills `result`
+/// in; `result` is left untouched when the job fails.
+fn simulate<Prog>(
+    job: &BatchJob<'_, Prog>,
+    result: &mut BatchResult<Prog::Prop>,
+) -> Result<(), BatchError>
+where
+    Prog: VertexProgram + Sync,
+{
+    let shard = match job.mode {
+        RunMode::Sharded { shard } => shard,
+        RunMode::Whole | RunMode::Sliced { .. } => ShardConfig::new(1),
+    };
+    let mut engine =
+        ShardedEngine::try_new(job.config.clone(), shard, job.graph).map_err(BatchError::Config)?;
+    engine.set_stall_guard(job.stall_guard);
+    if let RunMode::Sliced {
+        num_slices,
+        memory_bytes_per_cycle,
+    } = job.mode
+    {
+        let r = engine.run_sliced(&job.program, num_slices, memory_bytes_per_cycle)?;
+        result.sliced = Some(SlicedTiming {
+            num_slices: r.num_slices,
+            swap_cycles_sequential: r.swap_cycles_sequential,
+            swap_cycles_overlapped: r.swap_cycles_overlapped,
+        });
+        (result.properties, result.metrics) = (r.properties, r.metrics);
+        return Ok(());
+    }
+    // Default threading: each iteration's per-chip drains fan out over
+    // the pool the batch runs on, so batch- and chip-level parallelism
+    // compose instead of oversubscribing. Results are bit-identical for
+    // any worker count.
+    let r = engine.run(&job.program)?;
+    if let RunMode::Sharded { .. } = job.mode {
+        result.sharded = Some(ShardedTiming {
+            num_chips: r.chips.len(),
+            cross_chip_packets: r.cross_chip_packets,
+            per_chip_cycles: r.chips.iter().map(|c| c.cycles).collect(),
+        });
+    }
+    (result.properties, result.metrics) = (r.properties, r.metrics);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,12 +1,21 @@
-//! Sharded multi-chip execution: P engine pipelines over a
-//! destination-interval partition, coupled by a modeled inter-chip link.
+//! The accelerator engine: P chip pipelines over a destination-interval
+//! partition, coupled by a modeled inter-chip link.
 //!
 //! The paper's scalability story (Fig. 11) widens one chip; this module
-//! scales *out* instead. [`ShardedEngine`] instantiates one scatter
-//! pipeline per chip over the `higraph_graph::slicing::partition` shards,
-//! plus a `higraph_sim::InterChipLink` carrying cross-shard edge updates.
-//! An iteration's scatter phase ends only when every chip *and* the link
+//! also scales *out*. [`ShardedEngine`] instantiates one scatter pipeline
+//! per chip over the `higraph_graph::slicing::partition` shards, plus a
+//! `higraph_sim::InterChipLink` carrying cross-shard edge updates. An
+//! iteration's scatter phase ends only when every chip *and* the link
 //! have drained.
+//!
+//! There is one run loop for every way the pipeline runs. P = 1 *is*
+//! the serial engine: [`Engine`](crate::Engine) is a one-chip
+//! [`ShardedEngine`], whose chip scatters the caller's graph itself and
+//! whose link never carries a packet. A sliced run (Sec. 5.3,
+//! [`Engine::run_sliced`](crate::Engine::run_sliced)) is that one chip
+//! draining S destination slices one after another within an iteration.
+//! Both shapes are the same rule: an iteration drains its *lanes* (the
+//! destination intervals with their edges) P at a time, one per chip.
 //!
 //! # Execution model
 //!
@@ -15,9 +24,8 @@
 //! *global* frontier over its slice graph into its own tProperty
 //! interval, and applies its owned vertices. Because every edge lives on
 //! exactly one chip and reduction is per-destination, the final Property
-//! Array is bit-identical to the serial [`Engine::run`](crate::engine::Engine::run) — with one chip
-//! the whole run (metrics included) is bit-identical, which
-//! `tests/sharded_equivalence.rs` asserts.
+//! Array does not depend on P, which `tests/sharded_equivalence.rs`
+//! asserts against the one-chip run.
 //!
 //! # Per-chip drains
 //!
@@ -28,8 +36,9 @@
 //! each of the P + 1 parts — the chips and the link — drains to
 //! quiescence on its own `Scheduler`, with its own fast-forward, and the
 //! parts fan out over the shared [`CorePool`] with one join per
-//! iteration. The iteration's scatter time is the **max** of the P + 1
-//! drain times. A part that finished early is then padded with
+//! iteration (at P = 1 the link is empty and the chip drains on the
+//! calling thread). The iteration's scatter time is the **max** of the
+//! P + 1 drain times. A part that finished early is then padded with
 //! `skip(spent − own)`: the idle ticks a shared clock would have given
 //! it (fabric cycle counters, arbiter parity, the DRAM clock). The
 //! result is bit-identical to clocking all parts on one composite clock,
@@ -50,13 +59,12 @@
 use crate::apply::{apply_cycles, apply_phase};
 use crate::config::AcceleratorConfig;
 use crate::engine::{
-    derived_stall_guard, finalize_metrics, Checkpoint, ControlError, ScatterPipeline,
-    StallDiagnostic,
+    Checkpoint, ControlError, Outcome, ScatterPipeline, SlicedRunResult, StallDiagnostic,
 };
 use crate::faults::FaultRuntime;
 use crate::metrics::Metrics;
 use crate::netfactory::NetworkFactory;
-use higraph_graph::slicing::{partition, total_cut_edges, Slice};
+use higraph_graph::slicing::{partition, slice_swap_cycles, total_cut_edges, Slice};
 use higraph_graph::{Csr, VertexId};
 use higraph_pool::CorePool;
 use higraph_sim::{
@@ -71,7 +79,7 @@ use std::thread::ThreadId;
 /// Geometry and timing of the inter-chip fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Number of chips (= shards). 1 reproduces the serial engine.
+    /// Number of chips (= shards). 1 is the serial engine.
     pub num_chips: usize,
     /// Link flight latency in cycles, on top of the one-cycle stage
     /// minimum every clocked component obeys.
@@ -142,7 +150,7 @@ impl SnapValue for ShardPacket {
 /// Result of a sharded run ([`ShardedEngine::run`]).
 #[derive(Debug, Clone)]
 pub struct ShardedRunResult<P> {
-    /// Final Property Array — bit-identical to the serial engine's.
+    /// Final Property Array — identical for every chip count.
     pub properties: Vec<P>,
     /// Aggregate metrics on the multi-chip critical path: scatter cycles
     /// are the slowest of each iteration's drains (every chip *and* the
@@ -189,21 +197,9 @@ impl<P> ShardedRunResult<P> {
     }
 }
 
-/// How a controlled sharded run ([`ShardedEngine::run_controlled`])
-/// ended: completion, a boundary checkpoint, or cancellation.
-// Same shape as `RunOutcome`: matched once and destructured, so the
-// inline result's size skew never costs anything.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum ShardedOutcome<P> {
-    /// The run finished; bit-identical to [`ShardedEngine::run`].
-    Done(ShardedRunResult<P>),
-    /// The run parked at a committed iteration boundary and serialized
-    /// its full state into a restorable checkpoint.
-    Parked(Checkpoint),
-    /// Cancellation was observed; partial state was discarded.
-    Cancelled,
-}
+/// How a controlled run ([`ShardedEngine::run_controlled`]) ended:
+/// completion, a boundary checkpoint, or cancellation.
+pub type ShardedOutcome<P> = Outcome<ShardedRunResult<P>>;
 
 /// The inter-chip link plus the per-chip egress staging for packets the
 /// link has not yet accepted: the one part of a scatter phase that is
@@ -323,13 +319,13 @@ impl<P: SnapValue + 'static> Snapshot for MultiChip<P> {
 }
 
 /// One chip's share of a scatter phase: the pipeline plus everything
-/// only this chip writes (its metrics, its owned tProperty interval).
+/// only this chip writes (its metrics, its lane's tProperty interval).
 struct ChipLane<'a, P> {
-    /// Chip index within the shard (= slice index).
+    /// Chip index within the shard (the chip a fault window targets).
     index: usize,
     chip: &'a mut ScatterPipeline<P>,
     metrics: &'a mut Metrics,
-    /// The chip's owned tProperty interval (disjoint across lanes).
+    /// The lane's tProperty interval (disjoint across chips).
     t_props: &'a mut [P],
     /// Global vertex id of `t_props[0]`.
     t_base: u32,
@@ -416,14 +412,40 @@ impl<Prog: VertexProgram> DrainContext<'_, Prog> {
     }
 }
 
-/// A multi-chip accelerator instance bound to a partitioned graph.
+/// A destination interval one chip scatters in one drain, with the
+/// graph that holds exactly the edges into it.
+struct Lane<'a> {
+    graph: &'a Csr,
+    dst_start: u32,
+    dst_end: u32,
+    /// Cycles to load the lane from off-chip memory before it scatters
+    /// (Sec. 5.3 slice replacement); 0 unless the run is sliced.
+    swap: u64,
+}
+
+impl<'a> Lane<'a> {
+    fn of(slice: &'a Slice, swap: u64) -> Self {
+        Lane {
+            graph: &slice.graph,
+            dst_start: slice.dst_start,
+            dst_end: slice.dst_end,
+            swap,
+        }
+    }
+}
+
+/// The accelerator engine bound to a graph: P chips over its
+/// destination-interval partition, P = 1 being the serial engine.
 #[derive(Debug)]
 pub struct ShardedEngine<'g> {
     factory: NetworkFactory,
     shard: ShardConfig,
     graph: &'g Csr,
+    /// The destination-interval shards, one per chip. Empty at P = 1,
+    /// where the one chip scatters `graph` itself.
     slices: Vec<Slice>,
-    /// Owning chip per vertex (destination-interval lookup).
+    /// Owning chip per vertex (destination-interval lookup); empty at
+    /// P = 1, where no edge crosses chips.
     owner: Vec<usize>,
     /// Overrides the workload-derived stall guard when set.
     stall_guard: Option<u64>,
@@ -462,13 +484,19 @@ impl<'g> ShardedEngine<'g> {
     ) -> Result<Self, String> {
         shard.validate()?;
         let factory = NetworkFactory::new(&config)?;
-        let slices = partition(graph, shard.num_chips);
-        let mut owner = vec![0usize; graph.num_vertices() as usize];
-        for s in &slices {
-            for v in s.dst_start..s.dst_end {
-                owner[v as usize] = s.index;
+        // One chip borrows the caller's graph: no partition copy.
+        let (slices, owner) = if shard.num_chips == 1 {
+            (Vec::new(), Vec::new())
+        } else {
+            let slices = partition(graph, shard.num_chips);
+            let mut owner = vec![0usize; graph.num_vertices() as usize];
+            for s in &slices {
+                for v in s.dst_start..s.dst_end {
+                    owner[v as usize] = s.index;
+                }
             }
-        }
+            (slices, owner)
+        };
         Ok(ShardedEngine {
             factory,
             shard,
@@ -483,12 +511,17 @@ impl<'g> ShardedEngine<'g> {
 
     /// Replaces the workload-derived stall guard with a fixed cycle
     /// budget for each part's drain (`None` restores the derived guard).
+    /// A run that exceeds it fails with a [`StallDiagnostic`] instead of
+    /// simulating indefinitely.
     pub fn set_stall_guard(&mut self, guard: Option<u64>) {
         self.stall_guard = guard;
     }
 
-    /// Enables or disables event-driven fast-forward (on by default;
-    /// bit-identical results either way, like [`crate::Engine`]'s).
+    /// Enables or disables the event-driven fast-forward of idle scatter
+    /// cycles (on by default). Results — cycle counts and every metric —
+    /// are bit-identical either way; disabling it only reverts host
+    /// performance to per-cycle ticking (the `simspeed` repro target
+    /// measures the difference).
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
     }
@@ -526,11 +559,6 @@ impl<'g> ShardedEngine<'g> {
         &self.shard
     }
 
-    /// The destination-interval shards, one per chip.
-    pub fn slices(&self) -> &[Slice] {
-        &self.slices
-    }
-
     /// The partitioner's total cut-edge count — the per-full-frontier
     /// cross-chip packet count.
     pub fn cut_edges(&self) -> u64 {
@@ -553,18 +581,52 @@ impl<'g> ShardedEngine<'g> {
     where
         Prog: VertexProgram + Sync,
     {
-        let mut st = self.fresh_state(program);
-        let stop = self.drive(program, &RunControl::new(), &mut st)?;
-        debug_assert!(stop.is_none(), "an inert control never stops a run");
-        Ok(finish_result(st))
+        self.run_lanes(program, &self.chip_lanes())
+            .map(finish_result)
     }
 
-    /// Executes `program` under cooperative run control, exactly as
-    /// [`crate::Engine::run_controlled`] does for the serial engine:
-    /// `control` can cancel mid-drain or park at the next committed
-    /// iteration boundary into a restorable [`Checkpoint`]. The drains
-    /// fan out exactly as in [`ShardedEngine::run`]; a run that
-    /// completes is bit-identical to it at any thread count.
+    /// The Sec. 5.3 large-graph schedule on this engine's one chip: the
+    /// iteration drains `num_slices` destination-interval slices one
+    /// after another, each loaded at `memory_bytes_per_cycle`. See
+    /// [`Engine::run_sliced`](crate::Engine::run_sliced).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_slices` is zero.
+    pub(crate) fn run_sliced<Prog>(
+        &self,
+        program: &Prog,
+        num_slices: usize,
+        memory_bytes_per_cycle: u64,
+    ) -> Result<SlicedRunResult<Prog::Prop>, StallDiagnostic>
+    where
+        Prog: VertexProgram + Sync,
+    {
+        debug_assert_eq!(self.shard.num_chips, 1, "slices drain on one chip");
+        let slices = partition(self.graph, num_slices);
+        let lanes: Vec<Lane<'_>> = slices
+            .iter()
+            .map(|s| Lane::of(s, slice_swap_cycles(s, memory_bytes_per_cycle)))
+            .collect();
+        let st = self.run_lanes(program, &lanes)?;
+        let (swap_cycles_sequential, swap_cycles_overlapped) = st.swap;
+        let r = finish_result(st);
+        Ok(SlicedRunResult {
+            properties: r.properties,
+            metrics: r.metrics,
+            num_slices,
+            swap_cycles_sequential,
+            swap_cycles_overlapped,
+        })
+    }
+
+    /// Executes `program` under cooperative run control: `control` can
+    /// cancel the run mid-drain, or park it — by explicit request or an
+    /// exhausted simulated-cycle budget — at the next committed
+    /// iteration boundary, where every part is drained and the state
+    /// checkpoints into a restorable [`Checkpoint`]. The drains fan out
+    /// exactly as in [`ShardedEngine::run`]; a run that completes is
+    /// bit-identical to it at any thread count.
     ///
     /// # Errors
     ///
@@ -583,11 +645,13 @@ impl<'g> ShardedEngine<'g> {
         self.controlled(program, control, state)
     }
 
-    /// Continues a parked sharded run from `checkpoint` under `control`.
-    /// The engine must be built over the same graph, accelerator
+    /// Continues a parked run from `checkpoint` under `control`. The
+    /// engine must be built over the same graph, accelerator
     /// configuration, and shard geometry that produced the checkpoint;
-    /// mismatches are rejected with a precise error. A pending park
-    /// request on `control` is cleared.
+    /// mismatches are rejected with a precise error before any state is
+    /// touched. A pending park request on `control` is cleared
+    /// (otherwise the resume would re-park at the first boundary);
+    /// callers raising a cycle budget set it before the call.
     ///
     /// # Errors
     ///
@@ -616,21 +680,51 @@ impl<'g> ShardedEngine<'g> {
         &self,
         program: &Prog,
         control: &RunControl,
-        mut st: ShardedRunState<Prog::Prop>,
+        mut st: RunState<Prog::Prop>,
     ) -> Result<ShardedOutcome<Prog::Prop>, StallDiagnostic>
     where
         Prog: VertexProgram + Sync,
         Prog::Prop: SnapValue,
     {
-        Ok(match self.drive(program, control, &mut st)? {
-            None => ShardedOutcome::Done(finish_result(st)),
-            Some(Stop::Park) => ShardedOutcome::Parked(self.save_checkpoint(&st)),
-            Some(Stop::Cancel) => ShardedOutcome::Cancelled,
+        let stop = self.drive(program, control, &mut st, &self.chip_lanes())?;
+        Ok(match stop {
+            None => Outcome::Done(finish_result(st)),
+            Some(Stop::Park) => Outcome::Parked(self.save_checkpoint(&st)),
+            Some(Stop::Cancel) => Outcome::Cancelled,
         })
     }
 
+    /// Runs `program` over `lanes` from a fresh state to completion.
+    fn run_lanes<Prog>(
+        &self,
+        program: &Prog,
+        lanes: &[Lane<'_>],
+    ) -> Result<RunState<Prog::Prop>, StallDiagnostic>
+    where
+        Prog: VertexProgram + Sync,
+    {
+        let mut st = self.fresh_state(program);
+        let stop = self.drive(program, &RunControl::new(), &mut st, lanes)?;
+        debug_assert!(stop.is_none(), "an inert control never stops a run");
+        Ok(st)
+    }
+
+    /// One lane per chip: its shard, or at P = 1 the whole graph.
+    fn chip_lanes(&self) -> Vec<Lane<'_>> {
+        if self.slices.is_empty() {
+            vec![Lane {
+                graph: self.graph,
+                dst_start: 0,
+                dst_end: self.graph.num_vertices(),
+                swap: 0,
+            }]
+        } else {
+            self.slices.iter().map(|s| Lane::of(s, 0)).collect()
+        }
+    }
+
     /// The state a run starts from (checkpoints restore over it).
-    fn fresh_state<Prog: VertexProgram>(&self, program: &Prog) -> ShardedRunState<Prog::Prop> {
+    fn fresh_state<Prog: VertexProgram>(&self, program: &Prog) -> RunState<Prog::Prop> {
         let config = self.factory.config();
         let num_chips = self.shard.num_chips;
         let fresh_metrics = || Metrics {
@@ -638,7 +732,7 @@ impl<'g> ShardedEngine<'g> {
             vpe_starvation_per_channel: vec![0; config.back_channels],
             ..Metrics::default()
         };
-        ShardedRunState {
+        RunState {
             properties: self
                 .graph
                 .vertices()
@@ -663,6 +757,7 @@ impl<'g> ShardedEngine<'g> {
             chip_metrics: (0..num_chips).map(|_| fresh_metrics()).collect(),
             agg: fresh_metrics(),
             cross_chip_packets: 0,
+            swap: (0, 0),
             drain_participants: 1,
         }
     }
@@ -679,23 +774,50 @@ impl<'g> ShardedEngine<'g> {
         })
     }
 
+    /// The workload-derived stall guard of one scatter phase: compute
+    /// slack per edge, plus the link terms when there is more than one
+    /// chip, plus the worst-case off-chip latency when memory is modeled.
+    fn derived_stall_guard(&self, edges: u64, frontier_len: u64, staged_packets: u64) -> u64 {
+        let config = self.factory.config();
+        let num_chips = self.shard.num_chips as u64;
+        let mem_bonus = config
+            .memory
+            .as_ref()
+            .map(|m| m.stall_guard_bonus(edges, frontier_len))
+            .unwrap_or(0);
+        let link = if num_chips > 1 {
+            staged_packets * 8 + self.shard.link_latency
+        } else {
+            0
+        };
+        10_000 + edges * 64 * num_chips + link + mem_bonus
+    }
+
     /// The run loop, shared by every entry point: iterations until the
-    /// frontier empties, with cancel checks and boundary parking. Returns
-    /// where `control` stopped it early, or `None` on completion.
+    /// frontier empties, with cancel checks and boundary parking. Each
+    /// iteration drains `lanes` P at a time, one per chip — P shards at
+    /// once, or S slices one after another on one chip — then applies.
+    /// Returns where `control` stopped it early, or `None` on completion.
     fn drive<Prog>(
         &self,
         program: &Prog,
         control: &RunControl,
-        st: &mut ShardedRunState<Prog::Prop>,
+        st: &mut RunState<Prog::Prop>,
+        lanes: &[Lane<'_>],
     ) -> Result<Option<Stop>, StallDiagnostic>
     where
         Prog: VertexProgram + Sync,
     {
         let config = self.factory.config();
-        let m = config.back_channels;
         let num_chips = self.shard.num_chips;
-        let graph = self.graph;
         let faults = self.fault_runtime(&st.multi);
+        // Each chip scans the interval its lanes cover in the apply phase.
+        let mut owned = vec![0u32; num_chips];
+        for round in lanes.chunks(num_chips) {
+            for (owned, lane) in owned.iter_mut().zip(round) {
+                *owned += lane.dst_end - lane.dst_start;
+            }
+        }
 
         while !st.frontier.is_empty() {
             if let Some(cap) = program.max_iterations() {
@@ -709,81 +831,93 @@ impl<'g> ShardedEngine<'g> {
             if control.should_park(st.agg.scatter_cycles + st.agg.apply_cycles) {
                 return Ok(Some(Stop::Park));
             }
-            debug_assert!(
-                st.multi.is_drained(),
-                "a scatter phase must start with every part drained"
-            );
 
-            // Stage this iteration's cross-shard traffic: one packet per
-            // edge a chip will process from a remotely-owned source,
-            // counted per (source chip, destination chip) pair.
-            for &u in &st.frontier {
-                let src_chip = self.owner[u.index()];
-                for slice in &self.slices {
-                    if slice.index != src_chip {
-                        st.multi.link.staged[src_chip][slice.index] += slice.graph.out_degree(u);
+            let mut prev_compute = 0u64;
+            for round in lanes.chunks(num_chips) {
+                debug_assert!(
+                    st.multi.is_drained(),
+                    "a scatter phase must start with every part drained"
+                );
+                // Stage this phase's cross-chip traffic: one packet per
+                // edge a chip will process from a remotely-owned source,
+                // counted per (source chip, destination chip) pair. One
+                // chip owns every source.
+                let mut edges = 0u64;
+                for &u in &st.frontier {
+                    let src_chip = if num_chips > 1 {
+                        self.owner[u.index()]
+                    } else {
+                        0
+                    };
+                    for (chip, lane) in round.iter().enumerate() {
+                        let degree = lane.graph.out_degree(u);
+                        edges += degree;
+                        if chip != src_chip {
+                            st.multi.link.staged[src_chip][chip] += degree;
+                        }
                     }
                 }
-            }
-            let staged = st.multi.link.staged_total();
-            st.cross_chip_packets += staged;
+                let staged = st.multi.link.staged_total();
+                st.cross_chip_packets += staged;
 
-            // Load the global frontier into every chip's front-end.
-            for chip in &mut st.multi.chips {
-                chip.front.load_frontier(&st.frontier, &st.properties);
-            }
-
-            let iteration_edges: u64 = st.frontier.iter().map(|&v| graph.out_degree(v)).sum();
-            let guard = self.stall_guard.unwrap_or_else(|| {
-                derived_stall_guard(
-                    config,
-                    iteration_edges,
-                    st.frontier.len() as u64,
-                    num_chips as u64,
-                    staged,
-                ) + self.shard.link_latency
-            }) + faults.as_ref().map_or(0, FaultRuntime::guard_bonus);
-            let cx = DrainContext {
-                program,
-                control,
-                faults: faults.as_ref(),
-                // Fault windows land on exact global cycles, so fault
-                // runs tick every cycle.
-                fast_forward: self.fast_forward && faults.is_none(),
-                guard,
-                base: st.agg.scatter_cycles,
-            };
-            let spent = match self.drain_parts(&cx, st) {
-                Ok(spent) => spent,
-                Err(DrainError::Interrupted { .. }) => return Ok(Some(Stop::Cancel)),
-                Err(DrainError::Stall(stall)) => {
-                    return Err(StallDiagnostic {
-                        config: config.name.clone(),
-                        num_chips,
-                        iteration: st.agg.iterations,
-                        iteration_edges,
-                        staged_packets: staged,
-                        stall,
-                    })
+                // Load the global frontier into every chip's front-end.
+                for chip in &mut st.multi.chips {
+                    chip.front.load_frontier(&st.frontier, &st.properties);
                 }
-            };
-            st.agg.scatter_cycles += spent;
+
+                let guard = self.stall_guard.unwrap_or_else(|| {
+                    self.derived_stall_guard(edges, st.frontier.len() as u64, staged)
+                }) + faults.as_ref().map_or(0, FaultRuntime::guard_bonus);
+                let cx = DrainContext {
+                    program,
+                    control,
+                    faults: faults.as_ref(),
+                    // Fault windows land on exact global cycles, so fault
+                    // runs tick every cycle.
+                    fast_forward: self.fast_forward && faults.is_none(),
+                    guard,
+                    base: st.agg.scatter_cycles,
+                };
+                let spent = match self.drain_parts(&cx, st, round) {
+                    Ok(spent) => spent,
+                    Err(DrainError::Interrupted { .. }) => return Ok(Some(Stop::Cancel)),
+                    Err(DrainError::Stall(stall)) => {
+                        return Err(StallDiagnostic {
+                            config: config.name.clone(),
+                            num_chips,
+                            iteration: st.agg.iterations,
+                            iteration_edges: edges,
+                            staged_packets: staged,
+                            stall,
+                        })
+                    }
+                };
+                st.agg.scatter_cycles += spent;
+
+                // Slice replacement: the first load of an iteration is
+                // always exposed; under double buffering each later load
+                // overlaps the previous slice's compute.
+                let swap: u64 = round.iter().map(|lane| lane.swap).sum();
+                st.swap.0 += swap;
+                st.swap.1 += swap.saturating_sub(prev_compute);
+                prev_compute = spent;
+            }
 
             // Apply: functionally global (bit-identity), cycle-wise each
             // chip scans only its owned interval; the slowest chip gates
             // the iteration.
             apply_phase(
                 program,
-                graph,
+                self.graph,
                 &mut st.properties,
                 &mut st.t_props,
                 &mut st.frontier,
             );
             let mut max_apply = 0u64;
-            for (ci, slice) in self.slices.iter().enumerate() {
-                let a = apply_cycles(slice.num_owned(), m);
-                st.chip_metrics[ci].apply_cycles += a;
-                st.chip_metrics[ci].iterations += 1;
+            for (metrics, &owned) in st.chip_metrics.iter_mut().zip(&owned) {
+                let a = apply_cycles(owned, config.back_channels);
+                metrics.apply_cycles += a;
+                metrics.iterations += 1;
                 max_apply = max_apply.max(a);
             }
             st.agg.apply_cycles += max_apply;
@@ -792,11 +926,11 @@ impl<'g> ShardedEngine<'g> {
         Ok(None)
     }
 
-    /// One scatter phase: drains the P chips and the link independently
-    /// (fanned out over the pool unless the engine is pinned serial),
-    /// pads every part that finished early up to the slowest, and
-    /// credits each chip its own drain time. Returns the phase's scatter
-    /// cycles, the max over all parts.
+    /// One scatter phase: drains one round of lanes on the chips and the
+    /// link independently (fanned out over the pool unless the engine is
+    /// pinned serial or has one chip), pads every part that finished
+    /// early up to the slowest, and credits each chip its own drain
+    /// time. Returns the phase's scatter cycles, the max over all parts.
     ///
     /// # Errors
     ///
@@ -807,7 +941,8 @@ impl<'g> ShardedEngine<'g> {
     fn drain_parts<Prog>(
         &self,
         cx: &DrainContext<'_, Prog>,
-        st: &mut ShardedRunState<Prog::Prop>,
+        st: &mut RunState<Prog::Prop>,
+        round: &[Lane<'_>],
     ) -> Result<u64, DrainError>
     where
         Prog: VertexProgram + Sync,
@@ -816,16 +951,17 @@ impl<'g> ShardedEngine<'g> {
         let parts: Vec<Mutex<Part<'_, Prog::Prop>>> = chips
             .iter_mut()
             .zip(st.chip_metrics.iter_mut())
-            .zip(split_owned_intervals(&mut st.t_props, &self.slices))
-            .zip(&self.slices)
-            .map(|(((chip, metrics), (t_props, t_base)), slice)| {
+            .zip(split_lane_intervals(&mut st.t_props, round))
+            .zip(round)
+            .enumerate()
+            .map(|(index, (((chip, metrics), t_props), lane))| {
                 Mutex::new(Part::Chip(ChipLane {
-                    index: slice.index,
+                    index,
                     chip,
                     metrics,
                     t_props,
-                    t_base,
-                    graph: &slice.graph,
+                    t_base: lane.dst_start,
+                    graph: lane.graph,
                 }))
             })
             .chain(std::iter::once(Mutex::new(Part::Link(link))))
@@ -837,11 +973,13 @@ impl<'g> ShardedEngine<'g> {
             let mut part = parts[i].lock().unwrap_or_else(PoisonError::into_inner);
             (cx.drain(&mut part), std::thread::current().id())
         };
-        let drained: Vec<(Result<u64, DrainError>, ThreadId)> = if self.threads == Some(1) {
-            (0..parts.len()).map(drain).collect()
-        } else {
-            CorePool::global().run_ordered(parts.len(), drain)
-        };
+        // One chip's link stays empty, so there is nothing to fan out.
+        let drained: Vec<(Result<u64, DrainError>, ThreadId)> =
+            if self.threads == Some(1) || self.shard.num_chips == 1 {
+                (0..parts.len()).map(drain).collect()
+            } else {
+                CorePool::global().run_ordered(parts.len(), drain)
+            };
         drop(parts);
 
         let mut threads: Vec<ThreadId> = Vec::with_capacity(drained.len());
@@ -881,7 +1019,7 @@ impl<'g> ShardedEngine<'g> {
     /// Serializes a boundary state: identity context (graph hash,
     /// canonical configuration encoding, shard geometry) followed by the
     /// run variables and every chip and the link.
-    fn save_checkpoint<P: SnapValue + 'static>(&self, st: &ShardedRunState<P>) -> Checkpoint {
+    fn save_checkpoint<P: SnapValue + 'static>(&self, st: &RunState<P>) -> Checkpoint {
         let mut w = SnapWriter::new();
         w.tag(b"SHRC");
         w.u64(self.graph.content_hash());
@@ -915,7 +1053,7 @@ impl<'g> ShardedEngine<'g> {
     /// the identity context first.
     fn load_checkpoint<P: SnapValue + 'static>(
         &self,
-        st: &mut ShardedRunState<P>,
+        st: &mut RunState<P>,
         checkpoint: &[u8],
     ) -> Result<(), SnapError> {
         let num_v = self.graph.num_vertices() as usize;
@@ -965,22 +1103,18 @@ impl<'g> ShardedEngine<'g> {
             }
             st.frontier.push(VertexId(raw));
         }
-        let properties: Vec<P> = r.seq(num_v)?;
-        if properties.len() != num_v {
-            return Err(SnapError::new(format!(
-                "property array length {} does not match vertex count {num_v}",
-                properties.len()
-            )));
+        for (name, array) in [
+            ("property", &mut st.properties),
+            ("tProperty", &mut st.t_props),
+        ] {
+            *array = r.seq(num_v)?;
+            if array.len() != num_v {
+                return Err(SnapError::new(format!(
+                    "{name} array length {} does not match vertex count {num_v}",
+                    array.len()
+                )));
+            }
         }
-        st.properties = properties;
-        let t_props: Vec<P> = r.seq(num_v)?;
-        if t_props.len() != num_v {
-            return Err(SnapError::new(format!(
-                "tProperty array length {} does not match vertex count {num_v}",
-                t_props.len()
-            )));
-        }
-        st.t_props = t_props;
         st.multi.load(&mut r)?;
         r.expect_exhausted()
     }
@@ -994,10 +1128,10 @@ enum Stop {
     Cancel,
 }
 
-/// The live state of one sharded run, bundled so the controlled paths
-/// can park it into a checkpoint at a committed iteration boundary and
-/// restore it later (`docs/robustness.md`).
-struct ShardedRunState<P> {
+/// The live state of one run, bundled so the controlled paths can park
+/// it into a checkpoint at a committed iteration boundary and restore it
+/// later (`docs/robustness.md`).
+struct RunState<P> {
     properties: Vec<P>,
     t_props: Vec<P>,
     frontier: Vec<VertexId>,
@@ -1005,13 +1139,16 @@ struct ShardedRunState<P> {
     chip_metrics: Vec<Metrics>,
     agg: Metrics,
     cross_chip_packets: u64,
+    /// Slice-replacement cycles (sequential, overlapped) of a sliced
+    /// run; not part of a checkpoint, since sliced runs never park.
+    swap: (u64, u64),
     /// Host-side only; not part of a checkpoint.
     drain_participants: usize,
 }
 
 /// Final metric harvest and merge of a completed run.
-fn finish_result<P: Copy + 'static>(st: ShardedRunState<P>) -> ShardedRunResult<P> {
-    let ShardedRunState {
+fn finish_result<P: Copy + 'static>(st: RunState<P>) -> ShardedRunResult<P> {
+    let RunState {
         properties,
         multi,
         mut chip_metrics,
@@ -1020,8 +1157,8 @@ fn finish_result<P: Copy + 'static>(st: ShardedRunState<P>) -> ShardedRunResult<
         drain_participants,
         ..
     } = st;
-    for (ci, chip) in multi.chips.iter().enumerate() {
-        finalize_metrics(&mut chip_metrics[ci], chip);
+    for (metrics, chip) in chip_metrics.iter_mut().zip(&multi.chips) {
+        finalize_metrics(metrics, chip);
     }
     for chip in &chip_metrics {
         agg.edges_processed += chip.edges_processed;
@@ -1046,28 +1183,33 @@ fn finish_result<P: Copy + 'static>(st: ShardedRunState<P>) -> ShardedRunResult<
     }
 }
 
-/// Splits the global tProperty array into the per-chip owned intervals
-/// of `slices` (destination-interval partitions are contiguous, in
-/// order, and covering), returning each chip's window plus its base
-/// vertex id. Disjointness is what lets chips step concurrently.
-fn split_owned_intervals<'t, P>(t_props: &'t mut [P], slices: &[Slice]) -> Vec<(&'t mut [P], u32)> {
-    let mut out = Vec::with_capacity(slices.len());
-    let mut remaining = t_props;
-    let mut consumed = 0u32;
-    for slice in slices {
-        debug_assert_eq!(
-            slice.dst_start, consumed,
-            "slices must be contiguous and in order"
-        );
-        let (mine, rest) = remaining.split_at_mut((slice.dst_end - slice.dst_start) as usize);
-        out.push((mine, slice.dst_start));
-        remaining = rest;
-        consumed = slice.dst_end;
+/// Harvests one chip's fabric and memory statistics into its metrics.
+fn finalize_metrics<P: Copy + 'static>(metrics: &mut Metrics, pipeline: &ScatterPipeline<P>) {
+    metrics.cycles = metrics.scatter_cycles + metrics.apply_cycles;
+    metrics.offset_net = pipeline.front.offset_stats();
+    metrics.edge_net = pipeline.back.edge_stats();
+    metrics.dataflow_net = pipeline.back.dataflow_stats();
+    let cache = pipeline.mem.cache_stats();
+    metrics.memory.cache_hits = cache.hits;
+    metrics.memory.cache_misses = cache.misses;
+    metrics.memory.dram = pipeline.mem.dram_stats();
+}
+
+/// Splits the global tProperty array into the intervals of `lanes`
+/// (disjoint and in vertex order), one window per lane. Disjointness is
+/// what lets chips step concurrently.
+fn split_lane_intervals<'t, P>(t_props: &'t mut [P], lanes: &[Lane<'_>]) -> Vec<&'t mut [P]> {
+    let mut out = Vec::with_capacity(lanes.len());
+    let mut rest = t_props;
+    let mut at = 0u32;
+    for lane in lanes {
+        debug_assert!(lane.dst_start >= at, "lanes must be disjoint and in order");
+        let (_, tail) = rest.split_at_mut((lane.dst_start - at) as usize);
+        let (mine, tail) = tail.split_at_mut((lane.dst_end - lane.dst_start) as usize);
+        out.push(mine);
+        rest = tail;
+        at = lane.dst_end;
     }
-    debug_assert!(
-        remaining.is_empty(),
-        "slices must cover the whole vertex range"
-    );
     out
 }
 
@@ -1128,7 +1270,7 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_drain_covers_compute_and_link() {
+    fn scatter_phase_covers_compute_and_link() {
         // With a huge link latency the drain must extend past the slowest
         // chip's compute: communication is simulated, not hand-waved.
         let g = power_law(200, 1800, 2.0, 31, 41);

@@ -469,7 +469,7 @@ fn shard(scale: Scale, out: &mut Report) {
         shard_row(&r, &prefix, out);
     }
     println!(
-        "(P=1 is bit-identical to the serial engine; cross-chip packets are modeled\n\
+        "(P=1 is the serial engine; cross-chip packets are modeled\n\
          through the latency/bandwidth link fabric — see docs/sharding.md)\n"
     );
 }

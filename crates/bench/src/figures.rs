@@ -302,9 +302,9 @@ pub struct ShardSweepRow {
 
 /// Multi-chip scalability over an arbitrary algorithm set: each
 /// algorithm runs on the Twitter stand-in across the given chip counts
-/// with the default board-level link model. P = 1 is bit-identical to
-/// the serial engine (the integration tests assert this), so that row
-/// doubles as each algorithm's serial baseline. A stalled cell fails
+/// with the default board-level link model. P = 1 is the serial engine
+/// (`Engine` is the one-chip sharded engine), so that row doubles as
+/// each algorithm's serial baseline. A stalled cell fails
 /// alone — its row carries the diagnostic.
 pub fn shard_sweep_algos(
     scale: Scale,
@@ -792,9 +792,9 @@ pub fn fig5_design_theory(scale: Scale) -> Vec<DesignTheoryRow> {
     })
 }
 
-/// One point of the dispatcher read-port ablation (a design choice
-/// DESIGN.md calls out: the final edge-network stage is a 2W2R module, so
-/// each Dispatcher has two read ports).
+/// One point of the dispatcher read-port ablation (the final
+/// edge-network stage is a 2W2R module, so each Dispatcher has two read
+/// ports).
 #[derive(Debug, Clone)]
 pub struct DispatcherAblationRow {
     /// Dispatcher read ports.

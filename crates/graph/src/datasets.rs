@@ -4,8 +4,8 @@
 //! Twitter) and two Graph500 R-MAT graphs (R14, R16). This environment has
 //! no network access, so the SNAP graphs are *synthesized stand-ins*:
 //! power-law graphs with the same vertex count, edge count, and mean degree
-//! as the originals (see `DESIGN.md` for the substitution argument). The
-//! R-MAT graphs are generated exactly as in the paper.
+//! as the originals. The R-MAT graphs are generated exactly as in the
+//! paper.
 
 use crate::csr::Csr;
 use crate::gen::{power_law, rmat, RmatConfig};

@@ -2,7 +2,8 @@
 //!
 //! The paper's RTL is synthesized with Synopsys DC on TSMC 12 nm; this
 //! crate substitutes analytical models *calibrated to the paper's reported
-//! synthesis points* (see `DESIGN.md` for the substitution argument):
+//! synthesis points* (see `docs/model.md` § "Why analytical substitution
+//! is sound here"):
 //!
 //! * [`frequency`] — crossbar frequency vs port count (Fig. 4), the MDP
 //!   critical path (0.93 ns at 32 channels → 0.97 ns at 256, Sec. 5.3),

@@ -69,9 +69,9 @@ impl CorePool {
 
     /// Reserves exactly `n` team slots: idle workers first, the
     /// shortfall as temporary threads spawned per [`CoreLease::run_team`]
-    /// call. For callers that *require* a participant count — the
-    /// explicit `set_threads(Some(n))` override — so an n-worker drain
-    /// protocol runs even on a host with fewer free cores.
+    /// call. For callers that *require* a participant count, so an
+    /// n-participant team protocol runs even on a host with fewer free
+    /// cores.
     pub fn lease_exact(&self, n: usize) -> CoreLease<'_> {
         let mut lease = self.lease(n);
         lease.extra = n - lease.members.len();
@@ -97,7 +97,7 @@ impl CoreLease<'_> {
     ///
     /// A task panic is re-raised here after the whole team has wound
     /// down (the coordinator's exit protocol is expected to notice and
-    /// release the others, exactly as the lock-step drain does); a
+    /// release the others, as any barrier protocol over a team must); a
     /// coordinator panic is re-raised after the tasks finish.
     ///
     /// # Panics

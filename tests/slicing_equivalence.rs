@@ -119,3 +119,78 @@ fn per_slice_engine_runs_cover_all_edges() {
     }
     assert_eq!(total, g.num_edges());
 }
+
+/// The observable summary of a sliced run pinned below: every scatter
+/// and apply cycle, the edge count, the fabric and memory counters the
+/// fault windows move, and both swap-cycle totals.
+fn sliced_summary<P>(r: &higraph::accel::SlicedRunResult<P>) -> [u64; 12] {
+    let m = &r.metrics;
+    [
+        m.cycles,
+        m.scatter_cycles,
+        m.apply_cycles,
+        m.edges_processed,
+        u64::from(m.iterations),
+        m.vpe_starvation_cycles,
+        m.offset_conflicts,
+        m.dataflow_net.rejected,
+        m.memory.stall_cycles,
+        m.memory.cache_misses,
+        r.swap_cycles_sequential,
+        r.swap_cycles_overlapped,
+    ]
+}
+
+#[test]
+fn faulted_sliced_run_keeps_its_fault_timeline() {
+    // A fault plan indexes the global scatter timeline, which a sliced
+    // run advances slice by slice: each slice's drain starts at the
+    // cycle the previous one ended. These figures were recorded from the
+    // engine before sliced runs were folded into the sharded run loop;
+    // any change to where a slice's fault windows land moves them.
+    const EXPECTED: [(Option<usize>, [u64; 12], [u64; 12]); 2] = [
+        (
+            None,
+            [528, 500, 28, 5400, 2, 10600, 634, 0, 0, 0, 1802, 1488],
+            [908, 880, 28, 5400, 2, 10632, 784, 0, 0, 0, 1802, 1243],
+        ),
+        (
+            Some(16),
+            [2543, 2515, 28, 5400, 2, 75080, 47, 0, 81907, 637, 1802, 605],
+            [3105, 3077, 28, 5400, 2, 80488, 52, 0, 83538, 637, 1802, 605],
+        ),
+    ];
+    let g = higraph::graph::gen::power_law(300, 2700, 2.0, 31, 79);
+    let prog = PageRank::new(2);
+    let whole = reference::execute(&prog, &g).properties;
+    for (cache_kb, expect_clean, expect_faulty) in EXPECTED {
+        let mut clean_cfg = AcceleratorConfig::higraph();
+        clean_cfg.memory = cache_kb.map(|kb| MemoryConfig::hbm2().with_cache_kb(kb));
+        let clean = Engine::new(clean_cfg.clone(), &g)
+            .run_sliced(&prog, 3, 32)
+            .expect("no stall");
+        let mut cfg = clean_cfg;
+        cfg.fault_plan = Some(FaultPlan {
+            seed: 11,
+            events: 6,
+            max_duration: 400,
+            horizon: clean.metrics.scatter_cycles.max(1),
+        });
+        let faulty = Engine::new(cfg, &g)
+            .run_sliced(&prog, 3, 32)
+            .expect("no stall");
+        assert_eq!(faulty.properties, whole, "faults only stall");
+        assert_eq!(clean.properties, whole);
+        assert!(faulty.metrics.scatter_cycles > clean.metrics.scatter_cycles);
+        assert_eq!(
+            sliced_summary(&clean),
+            expect_clean,
+            "clean, cache {cache_kb:?}"
+        );
+        assert_eq!(
+            sliced_summary(&faulty),
+            expect_faulty,
+            "faulted, cache {cache_kb:?}"
+        );
+    }
+}
